@@ -24,6 +24,11 @@
 #                                   # its --determinism mode: same (seed, K)
 #                                   # must digest identically for worker
 #                                   # counts W in {1,2,8}
+#   scripts/check.sh --telemetry-gate
+#                                   # build build-notelem/ with
+#                                   # WRT_TELEMETRY=OFF, diff its hot-path
+#                                   # digest against the ON build's, then
+#                                   # run the OFF build's ctest
 #   scripts/check.sh --tsan         # ThreadSanitizer build (build-tsan/) and
 #                                   # the concurrency suite: K engines on K
 #                                   # threads must be race-free AND digest
@@ -37,6 +42,7 @@ WITH_TSAN=0
 BENCH_SMOKE=0
 CHAOS_SMOKE=0
 FEDERATION_SMOKE=0
+TELEMETRY_GATE=0
 VOICE_SMOKE=0
 for arg in "$@"; do
   case "$arg" in
@@ -46,6 +52,7 @@ for arg in "$@"; do
     --bench-smoke) BENCH_SMOKE=1 ;;
     --chaos-smoke) CHAOS_SMOKE=1 ;;
     --federation-smoke) FEDERATION_SMOKE=1 ;;
+    --telemetry-gate) TELEMETRY_GATE=1 ;;
     --voice-smoke) VOICE_SMOKE=1 ;;
     *) echo "unknown option: $arg" >&2; exit 2 ;;
   esac
@@ -93,6 +100,24 @@ if [ "$FEDERATION_SMOKE" = 1 ]; then
   cmake --build build --target bench_federation
   build/bench/bench_federation --determinism
   echo "FEDERATION SMOKE PASSED"
+  exit 0
+fi
+
+if [ "$TELEMETRY_GATE" = 1 ]; then
+  echo "== telemetry gate: OFF build digest + tests =="
+  # Standalone mode: telemetry is pure observation, so a WRT_TELEMETRY=OFF
+  # build must digest bit-identically to the ON build.  The OFF build's own
+  # suite runs too: OFF compiles out counter publishing and histogram
+  # staging, and the tests must hold without them.
+  configure build
+  cmake --build build --target bench_engine_hot_path
+  configure build-notelem -DWRT_TELEMETRY=OFF
+  cmake --build build-notelem
+  build/bench/bench_engine_hot_path --digest > build/digest-on.txt
+  build-notelem/bench/bench_engine_hot_path --digest > build/digest-off.txt
+  diff -u build/digest-on.txt build/digest-off.txt
+  ctest --test-dir build-notelem --output-on-failure
+  echo "TELEMETRY GATE PASSED"
   exit 0
 fi
 

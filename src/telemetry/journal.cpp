@@ -40,10 +40,7 @@ Journal::StationRing& Journal::ring_for(NodeId station) {
     rings_.resize(static_cast<std::size_t>(station) + 1);
   }
   StationRing& ring = rings_[station];
-  if (ring.slots.empty()) {
-    ring.station = station;
-    ring.slots.resize(capacity_);
-  }
+  ring.station = station;
   return ring;
 }
 
@@ -51,31 +48,28 @@ const Journal::StationRing* Journal::find_ring(
     NodeId station) const noexcept {
   if (station >= rings_.size()) return nullptr;
   const StationRing& ring = rings_[station];
-  return ring.slots.empty() ? nullptr : &ring;
+  return ring.station == kInvalidNode ? nullptr : &ring;
 }
 
 void Journal::record(NodeId station, JournalKind kind, Tick tick,
                      std::uint32_t arg, std::uint64_t value) {
   StationRing& ring = ring_for(station);
-  std::size_t slot;
-  if (ring.count == capacity_) {
+  const JournalEvent event{tick, value, kind, 0, arg};
+  if (ring.slots.size() < capacity_) {
+    ring.slots.push_back(event);  // still filling: head stays at 0
+  } else {
     // Overwrite the oldest record; the wrap is counted, never silent.
-    slot = ring.head;
+    ring.slots[ring.head] = event;
     ring.head = ring.head + 1 == capacity_ ? 0 : ring.head + 1;
     ++ring.dropped;
-  } else {
-    slot = ring.head + ring.count;
-    if (slot >= capacity_) slot -= capacity_;
-    ++ring.count;
   }
-  ring.slots[slot] = JournalEvent{tick, value, kind, 0, arg};
   ++total_;
 }
 
 std::vector<NodeId> Journal::stations() const {
   std::vector<NodeId> result;
   for (const StationRing& ring : rings_) {
-    if (!ring.slots.empty() && ring.count > 0) result.push_back(ring.station);
+    if (!ring.slots.empty()) result.push_back(ring.station);
   }
   return result;
 }
@@ -84,12 +78,11 @@ std::vector<JournalEvent> Journal::events(NodeId station) const {
   std::vector<JournalEvent> result;
   const StationRing* ring = find_ring(station);
   if (ring == nullptr) return result;
-  result.reserve(ring->count);
-  for (std::size_t i = 0; i < ring->count; ++i) {
-    std::size_t slot = ring->head + i;
-    if (slot >= capacity_) slot -= capacity_;
-    result.push_back(ring->slots[slot]);
-  }
+  // Oldest first: [head, end) then [0, head); head is 0 until the ring wraps.
+  const auto head =
+      ring->slots.begin() + static_cast<std::ptrdiff_t>(ring->head);
+  result.assign(head, ring->slots.end());
+  result.insert(result.end(), ring->slots.begin(), head);
   return result;
 }
 
@@ -144,18 +137,16 @@ util::Status Journal::save(const std::string& path) const {
   // Rings: only materialised ones, unwrapped to oldest-first order.
   std::uint32_t ring_count = 0;
   for (const StationRing& ring : rings_) {
-    if (!ring.slots.empty()) ++ring_count;
+    if (ring.station != kInvalidNode) ++ring_count;
   }
   write_pod(out, ring_count);
   for (const StationRing& ring : rings_) {
-    if (ring.slots.empty()) continue;
+    if (ring.station == kInvalidNode) continue;
     write_pod(out, ring.station);
     write_pod(out, ring.dropped);
-    write_pod(out, static_cast<std::uint64_t>(ring.count));
-    for (std::size_t i = 0; i < ring.count; ++i) {
-      std::size_t slot = ring.head + i;
-      if (slot >= capacity_) slot -= capacity_;
-      write_pod(out, ring.slots[slot]);
+    write_pod(out, static_cast<std::uint64_t>(ring.slots.size()));
+    for (const JournalEvent& event : events(ring.station)) {
+      write_pod(out, event);
     }
   }
   if (!out) {
@@ -166,10 +157,19 @@ util::Status Journal::save(const std::string& path) const {
 }
 
 util::Result<Journal> Journal::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return util::Error::not_found("journal load: cannot open " + path);
   }
+  // Every count below is checked against the bytes still unread, so no
+  // header field can make this function allocate more than the file holds.
+  const std::streamoff file_size = in.tellg();
+  in.seekg(0);
+  const auto fits = [&](std::uint64_t count, std::size_t record_bytes) {
+    const std::streamoff left = file_size - in.tellg();
+    return left >= 0 &&
+           count <= static_cast<std::uint64_t>(left) / record_bytes;
+  };
   char magic[sizeof(kMagic)];
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -188,8 +188,11 @@ util::Result<Journal> Journal::load(const std::string& path) {
   journal.total_ = total;
   RingMeta meta;
   std::uint32_t quota_count = 0;
+  constexpr std::size_t kQuotaBytes =
+      sizeof(NodeId) + sizeof(Quota::l) + sizeof(Quota::k);
   if (!read_pod(in, meta.ring_latency_slots) ||
-      !read_pod(in, meta.t_rap_slots) || !read_pod(in, quota_count)) {
+      !read_pod(in, meta.t_rap_slots) || !read_pod(in, quota_count) ||
+      !fits(quota_count, kQuotaBytes)) {
     return util::Error::invalid_argument("journal load: corrupt meta");
   }
   meta.quotas.reserve(quota_count);
@@ -204,7 +207,9 @@ util::Result<Journal> Journal::load(const std::string& path) {
   }
   journal.meta_ = std::move(meta);
   std::uint32_t ring_count = 0;
-  if (!read_pod(in, ring_count)) {
+  constexpr std::size_t kRingHeaderBytes =
+      sizeof(NodeId) + 2 * sizeof(std::uint64_t);
+  if (!read_pod(in, ring_count) || !fits(ring_count, kRingHeaderBytes)) {
     return util::Error::invalid_argument("journal load: corrupt ring table");
   }
   for (std::uint32_t r = 0; r < ring_count; ++r) {
@@ -212,15 +217,19 @@ util::Result<Journal> Journal::load(const std::string& path) {
     std::uint64_t dropped = 0;
     std::uint64_t count = 0;
     if (!read_pod(in, station) || !read_pod(in, dropped) ||
-        !read_pod(in, count) || count > capacity) {
+        !read_pod(in, count) || count > capacity ||
+        !fits(count, sizeof(JournalEvent))) {
       return util::Error::invalid_argument("journal load: corrupt ring");
+    }
+    if (station >= kMaxLoadStations) {
+      return util::Error::invalid_argument(
+          "journal load: station id out of range");
     }
     StationRing& ring = journal.ring_for(station);
     ring.dropped = dropped;
-    ring.head = 0;
-    ring.count = static_cast<std::size_t>(count);
-    for (std::size_t i = 0; i < ring.count; ++i) {
-      if (!read_pod(in, ring.slots[i])) {
+    ring.slots.resize(static_cast<std::size_t>(count));
+    for (JournalEvent& event : ring.slots) {
+      if (!read_pod(in, event)) {
         return util::Error::invalid_argument("journal load: truncated ring");
       }
     }

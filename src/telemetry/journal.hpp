@@ -2,9 +2,9 @@
 //
 // Counters say how much; the journal says when, where, and in what order —
 // at production scale.  Each station owns a fixed-capacity ring of 24-byte
-// POD records, so appending is an index computation plus a store (no
-// allocation, no formatting), long runs overwrite their own oldest history
-// per station instead of growing, and an overloaded station cannot evict
+// POD records that grows to its capacity and then wraps, so appending is a
+// store (no formatting), long runs overwrite their own oldest history per
+// station instead of growing, and an overloaded station cannot evict
 // another station's events.  Overwritten records are counted per ring and
 // surfaced by every exporter.
 //
@@ -108,14 +108,23 @@ class WRT_SHARD_CONFINED Journal {
 
   /// Binary serialisation (little-endian host assumed, versioned header).
   [[nodiscard]] util::Status save(const std::string& path) const;
+  /// Every count in the file is checked against the bytes left to read and
+  /// every station id against kMaxLoadStations, so a corrupt or crafted
+  /// file returns an error instead of allocating without bound.
   [[nodiscard]] static util::Result<Journal> load(const std::string& path);
+
+  /// Largest station id load() accepts, plus one.  Station ids index
+  /// rings_ densely, so loading id s allocates s + 1 ring headers.  The
+  /// largest ring the simulator builds has 4,096 stations (a federation
+  /// gives each ring its own topology), and the cap keeps a crafted id to
+  /// a few MiB.
+  static constexpr NodeId kMaxLoadStations = NodeId{1} << 16;
 
  private:
   struct StationRing {
-    NodeId station = kInvalidNode;
-    std::vector<JournalEvent> slots;  ///< capacity_ entries once touched
+    NodeId station = kInvalidNode;    ///< kInvalidNode: never touched
+    std::vector<JournalEvent> slots;  ///< grows to capacity_, then wraps
     std::size_t head = 0;             ///< oldest surviving record
-    std::size_t count = 0;
     std::uint64_t dropped = 0;
   };
 

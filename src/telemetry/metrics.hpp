@@ -1,13 +1,19 @@
-// Telemetry macro layer and metric catalogue.
+// Telemetry metric catalogue and histogram macro layer.
 //
-// The engines are instrumented with WRT_COUNT / WRT_OBSERVE / WRT_SPAN at
-// the protocol's observable moments (SAT handoff, slot transmit, membership
-// churn, SAT_REC recovery).  In a WRT_TELEMETRY=ON build each WRT_COUNT is
-// exactly one relaxed atomic increment into a cache-line-padded slot of the
-// process-wide MetricRegistry; WRT_OBSERVE adds one bucket-index computation
-// on top.  With WRT_TELEMETRY=OFF every macro expands to `((void)0)` so the
-// hot path is bit-for-bit the release binary (the check.sh digest oracle
-// and CI's telemetry gate rely on this).
+// Counters have one owner each.  The engines count every protocol event
+// once, in their own stats (EngineStats, TptStats, RecoveryFsm); an engine's
+// TelemetryBatch holds a reference to each of those running totals and, at
+// every flush, publishes the growth since the previous flush into the
+// process-wide MetricRegistry.  No instrumentation statement sits beside an
+// event, so the registry cannot drift from the owner's count.
+//
+// Histograms are still observed directly, at the protocol's observable
+// moments (SAT rotation, access delay, join latency, SAT_REC recovery):
+// WRT_OBSERVE is one bucket-index computation plus a relaxed atomic add on
+// the registry, WRT_BATCH_OBSERVE stages the same into an engine's batch.
+// With WRT_TELEMETRY=OFF every macro expands to `((void)0)` and no engine
+// registers its counters, so the hot path is bit-for-bit the release binary
+// (check.sh --telemetry-gate relies on this).
 //
 // The counter/histogram ids are closed enums rather than string keys: the
 // hot path never hashes, and the exporters recover stable snake_case names
@@ -55,7 +61,6 @@ enum class CounterId : std::uint16_t {
   kTptTokenRounds,        ///< TPT: completed token tours
   kTptClaims,             ///< TPT: claim processes started
   kTptTreeRebuilds,       ///< TPT: full tree re-formations
-  kJournalEvents,         ///< journal appends (any station)
   kSnapshots,             ///< registry snapshots taken
   kRecoveryFsmTransitions,///< RecoveryFsm state changes
   kStaleRecSuppressed,    ///< stale SAT_REC / SF indications suppressed
@@ -74,7 +79,6 @@ enum class HistogramId : std::uint16_t {
   kJoinLatencySlots,      ///< join request -> in ring
   kSatRecSlots,           ///< SAT loss -> SAT restored
   kSatDetectSlots,        ///< SAT loss -> SAT_TIMER detection (MTTD)
-  kSpanNanos,             ///< WRT_SPAN wall-clock durations (cold paths)
   kRecoveryMttrSlots,     ///< RecoveryFsm MTTR: loss -> ring restored
   kCount_,                ///< sentinel — number of histograms
 };
@@ -103,47 +107,27 @@ struct HistogramLayout {
 }  // namespace wrt::telemetry
 
 // ---------------------------------------------------------------------------
-// Instrumentation macros
+// Histogram macros
 // ---------------------------------------------------------------------------
 //
-//   WRT_COUNT(kSatHandoffs);              // += 1
-//   WRT_COUNT_N(kTxRealTime, burst);      // += burst
-//   WRT_OBSERVE(kSatRotationSlots, 42.0); // histogram sample
-//   { WRT_SPAN(); heavy_cold_work(); }    // wall-clock ns -> kSpanNanos
-//
-// WRT_SPAN measures host wall-clock, not simulated time, so it belongs on
-// cold paths (rebuilds, exports) where real cost matters and determinism
-// doesn't — simulated-time spans live in the telemetry::Journal instead.
+//   WRT_OBSERVE(kSatRotationSlots, 42.0);              // registry sample
+//   WRT_BATCH_OBSERVE(batch, kQueueDepth, depth);      // staged sample
+//   WRT_BATCH_FLUSH(batch);                            // publish the batch
 //
 // The WRT_BATCH_* variants route through an engine-owned TelemetryBatch
 // (plain integer bumps, no atomics) instead of the shared registry; the
-// owner flushes periodically via WRT_BATCH_FLUSH.  Use them on per-slot /
-// per-frame paths where even an uncontended lock add is measurable.
+// owner flushes periodically via WRT_BATCH_FLUSH, which also publishes its
+// counters.  Use them on per-slot / per-frame paths where even an
+// uncontended lock add is measurable.
 
 #if WRT_TELEMETRY_LEVEL
 
 #include "telemetry/registry.hpp"
 
-#define WRT_COUNT(id)                          \
-  ::wrt::telemetry::MetricRegistry::instance() \
-      .count(::wrt::telemetry::CounterId::id)
-#define WRT_COUNT_N(id, n)                     \
-  ::wrt::telemetry::MetricRegistry::instance() \
-      .count(::wrt::telemetry::CounterId::id,  \
-             static_cast<std::uint64_t>(n))
 #define WRT_OBSERVE(id, value)                   \
   ::wrt::telemetry::MetricRegistry::instance()   \
       .observe(::wrt::telemetry::HistogramId::id, \
                static_cast<double>(value))
-#define WRT_TELEM_CAT2(a, b) a##b
-#define WRT_TELEM_CAT(a, b) WRT_TELEM_CAT2(a, b)
-#define WRT_SPAN() \
-  ::wrt::telemetry::ScopedSpan WRT_TELEM_CAT(wrt_span_, __LINE__) {}
-#define WRT_BATCH_COUNT(batch, id) \
-  (batch).count(::wrt::telemetry::CounterId::id)
-#define WRT_BATCH_COUNT_N(batch, id, n)        \
-  (batch).count(::wrt::telemetry::CounterId::id, \
-                static_cast<std::uint64_t>(n))
 #define WRT_BATCH_OBSERVE(batch, id, value)        \
   (batch).observe(::wrt::telemetry::HistogramId::id, \
                   static_cast<double>(value))
@@ -151,12 +135,7 @@ struct HistogramLayout {
 
 #else
 
-#define WRT_COUNT(id) ((void)0)
-#define WRT_COUNT_N(id, n) ((void)(n))
 #define WRT_OBSERVE(id, value) ((void)(value))
-#define WRT_SPAN() ((void)0)
-#define WRT_BATCH_COUNT(batch, id) ((void)0)
-#define WRT_BATCH_COUNT_N(batch, id, n) ((void)(n))
 #define WRT_BATCH_OBSERVE(batch, id, value) ((void)(value))
 #define WRT_BATCH_FLUSH(batch) ((void)0)
 

@@ -33,7 +33,6 @@ const char* counter_name(CounterId id) noexcept {
     case CounterId::kTptTokenRounds: return "tpt_token_rounds";
     case CounterId::kTptClaims: return "tpt_claims";
     case CounterId::kTptTreeRebuilds: return "tpt_tree_rebuilds";
-    case CounterId::kJournalEvents: return "journal_events";
     case CounterId::kSnapshots: return "snapshots";
     case CounterId::kRecoveryFsmTransitions: return "recovery_fsm_transitions";
     case CounterId::kStaleRecSuppressed: return "stale_rec_suppressed";
@@ -53,7 +52,6 @@ const char* histogram_name(HistogramId id) noexcept {
     case HistogramId::kJoinLatencySlots: return "join_latency_slots";
     case HistogramId::kSatRecSlots: return "sat_rec_slots";
     case HistogramId::kSatDetectSlots: return "sat_detect_slots";
-    case HistogramId::kSpanNanos: return "span_nanos";
     case HistogramId::kRecoveryMttrSlots: return "recovery_mttr_slots";
     case HistogramId::kCount_: break;
   }
@@ -73,8 +71,6 @@ HistogramLayout histogram_layout(HistogramId id) noexcept {
     // Detection latency is bounded by SAT_TIME (Theorem 1); finer buckets
     // than kSatRecSlots since MTTD excludes the rebuild tail.
     case HistogramId::kSatDetectSlots: return {0.0, 16.0, 64};
-    // Wall-clock spans: 1us buckets up to 64us; slower spans overflow.
-    case HistogramId::kSpanNanos: return {0.0, 1000.0, 64};
     // MTTR spans detection + SAT_REC circuit (and, worst case, a rebuild);
     // wider buckets than kSatRecSlots to keep the rebuild tail resolved.
     case HistogramId::kRecoveryMttrSlots: return {0.0, 32.0, 64};
@@ -138,10 +134,12 @@ void MetricRegistry::merge_histogram(HistogramId id,
 void TelemetryBatch::flush() noexcept {
   auto& registry = MetricRegistry::instance();
   for (std::size_t i = 0; i < kCounterCount; ++i) {
-    if (counters_[i] != 0) {
-      registry.count(static_cast<CounterId>(i), counters_[i]);
-      counters_[i] = 0;
-    }
+    Counter& counter = counters_[i];
+    if (!counter.total) continue;
+    const std::uint64_t total = counter.total();
+    if (total == counter.published) continue;
+    registry.count(static_cast<CounterId>(i), total - counter.published);
+    counter.published = total;
   }
   for (std::size_t i = 0; i < kHistogramCount; ++i) {
     Histogram& h = histograms_[i];

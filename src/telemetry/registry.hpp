@@ -11,8 +11,8 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -77,7 +77,8 @@ class MetricRegistry {
     return registry;
   }
 
-  /// The WRT_COUNT hot path: one relaxed fetch_add on a padded slot.
+  /// One relaxed fetch_add on a padded slot (TelemetryBatch::flush and the
+  /// snapshot timeline are the writers).
   void count(CounterId id, std::uint64_t by = 1) noexcept {
     counters_[static_cast<std::size_t>(id)].value.fetch_add(
         by, std::memory_order_relaxed);
@@ -99,22 +100,18 @@ class MetricRegistry {
   }
 
   /// Copies every metric out (advisory while writers run).  Registered
-  /// flush sources are drained first, so totals include deltas an engine
-  /// has staged but not yet batch-flushed (see add_flush_source).
+  /// flush sources are drained first, so totals include everything an
+  /// engine has counted but not yet published (see add_flush_source).
   [[nodiscard]] RegistrySnapshot snapshot() const
       WRT_EXCLUDES(sources_mutex_);
 
-  /// Registers a staging batch to be drained by every snapshot().  An
-  /// engine driven by bare step() calls flushes its batch only every
-  /// kTelemetryFlushSlots slots; without this hook a snapshot taken
-  /// between flushes under-reports by up to one flush interval.  The
-  /// caller must remove_flush_source() before the batch is destroyed.
-  /// Contract: a registered batch must only be written from the thread
-  /// that takes snapshots (the single-threaded driver pattern) — batches
-  /// owned by replication worker threads must NOT be registered, and no
-  /// thread may take a snapshot() while engines run on other threads (the
-  /// drain would race their batch writes; see DESIGN.md "Concurrency
-  /// model").
+  /// Registers a batch to be drained by every snapshot(); every
+  /// TelemetryBatch does so for its lifetime.  An engine driven by bare
+  /// step() calls flushes its batch only every kTelemetryFlushSlots slots;
+  /// without this hook a snapshot taken between flushes under-reports by
+  /// up to one flush interval.  Contract: no thread may take a snapshot()
+  /// while engines run on other threads (the drain would race their
+  /// counter and batch writes; see DESIGN.md "Concurrency model").
   void add_flush_source(TelemetryBatch* batch) WRT_EXCLUDES(sources_mutex_);
 
   void remove_flush_source(TelemetryBatch* batch) noexcept
@@ -154,30 +151,45 @@ class MetricRegistry {
   mutable std::vector<TelemetryBatch*> sources_ WRT_GUARDED_BY(sources_mutex_);
 };
 
-/// Single-writer staging area for a hot loop (one per engine).  Events bump
-/// plain integers — no atomics, no cache-line protocol — and flush()
-/// publishes the accumulated deltas to the process-wide registry with one
-/// fetch_add per touched slot.  An engine flushing every K slots amortises
-/// its per-slot telemetry to a handful of atomics per K slots, which is
-/// what keeps the instrumented hot path within the <= 2 % budget.
+/// One engine's link to the process-wide registry.  Counters are not
+/// staged here: the engine counts each protocol event once, in its own
+/// stats, and publish() registers each running total once, at
+/// construction.  flush() adds every total's growth since the previous
+/// flush to the registry, so the registry can never disagree with the
+/// owner.  Histograms cannot be derived that way (the owners keep sample
+/// reservoirs, not buckets), so observe() still stages them as plain
+/// integer bumps and flush() merges one fetch_add per touched bucket.
 ///
 /// Registry totals therefore lag a live engine by at most one flush
-/// interval; Engine::run_slots flushes on return (and the batch flushes on
-/// destruction), so totals are exact whenever a driving loop has handed
-/// control back.
+/// interval; Engine::run_slots flushes on return, the batch flushes on
+/// destruction and every snapshot() drains it, so totals are exact
+/// whenever a driving loop has handed control back.
 ///
 /// Shard-confined: exactly one thread (the owning engine's) may touch a
 /// batch.  flush() publishes through atomics, so concurrent batches on
 /// different threads are safe; one batch on two threads is not.
 class WRT_SHARD_CONFINED TelemetryBatch {
  public:
-  TelemetryBatch() = default;
+  /// Reads an owner's running total.
+  using Total = std::function<std::uint64_t()>;
+
+  TelemetryBatch() { MetricRegistry::instance().add_flush_source(this); }
   TelemetryBatch(const TelemetryBatch&) = delete;
   TelemetryBatch& operator=(const TelemetryBatch&) = delete;
-  ~TelemetryBatch() { flush(); }
+  ~TelemetryBatch() {
+    MetricRegistry::instance().remove_flush_source(this);
+    flush();
+  }
 
-  void count(CounterId id, std::uint64_t by = 1) noexcept {
-    counters_[static_cast<std::size_t>(id)] += by;
+  /// Publishes `total` as counter `id`.  The field must outlive the batch.
+  void publish(CounterId id, const std::uint64_t& total) {
+    publish(id, [&total] { return total; });
+  }
+  /// Publishes a total derived from owner state (a clock, a sum of fields).
+  void publish(CounterId id, Total total) {
+    Counter& counter = counters_[static_cast<std::size_t>(id)];
+    counter.total = std::move(total);
+    counter.published = counter.total();
   }
 
   void observe(HistogramId id, double value) noexcept {
@@ -197,11 +209,15 @@ class WRT_SHARD_CONFINED TelemetryBatch {
     ++h.buckets[bucket];
   }
 
-  /// Publishes every staged delta to MetricRegistry::instance() and zeroes
-  /// the staging arrays.
+  /// Publishes every counter's growth and every staged histogram sample to
+  /// MetricRegistry::instance(), then zeroes the histogram staging.
   void flush() noexcept;
 
  private:
+  struct Counter {
+    Total total;                  ///< empty: nobody publishes this id
+    std::uint64_t published = 0;  ///< value of total() at the last flush
+  };
   struct Histogram {
     std::int64_t sum_scaled = 0;
     std::uint64_t underflow = 0;
@@ -209,28 +225,8 @@ class WRT_SHARD_CONFINED TelemetryBatch {
     std::array<std::uint64_t, MetricRegistry::kMaxBuckets + 1> buckets{};
   };
 
-  std::array<std::uint64_t, kCounterCount> counters_{};
+  std::array<Counter, kCounterCount> counters_{};
   std::array<Histogram, kHistogramCount> histograms_{};
-};
-
-/// RAII wall-clock span for WRT_SPAN: observes elapsed nanoseconds into
-/// HistogramId::kSpanNanos on destruction.  Cold paths only.
-class ScopedSpan {
- public:
-  ScopedSpan() noexcept : start_(std::chrono::steady_clock::now()) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    MetricRegistry::instance().observe(
-        HistogramId::kSpanNanos,
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()));
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace wrt::telemetry

@@ -15,6 +15,13 @@ TptEngine::TptEngine(phy::Topology* topology, TptConfig config,
     : topology_(topology), config_(std::move(config)), seed_(seed) {
   assert(topology_ != nullptr);
   assert(config_.t_proc_prop_slots >= 1);
+#if WRT_TELEMETRY_LEVEL
+  using telemetry::CounterId;
+  telem_batch_.publish(CounterId::kTptTokenPasses, stats_.token_hops);
+  telem_batch_.publish(CounterId::kTptTokenRounds, stats_.token_rounds);
+  telem_batch_.publish(CounterId::kTptClaims, stats_.losses_detected);
+  telem_batch_.publish(CounterId::kTptTreeRebuilds, stats_.tree_rebuilds);
+#endif
 }
 
 util::Status TptEngine::init() {
@@ -217,7 +224,6 @@ void TptEngine::token_arrive() {
 
   if (tour_index_ == 0) {
     ++stats_.token_rounds;
-    WRT_COUNT(kTptTokenRounds);
     ++rounds_since_rap_;
     if (config_.rap_every_rounds > 0 &&
         rounds_since_rap_ >=
@@ -364,7 +370,6 @@ void TptEngine::pass_token() {
   state_ = TokenState::kInTransit;
   transit_arrival_ = now_ + slots_to_ticks(config_.t_proc_prop_slots);
   ++stats_.token_hops;
-  WRT_COUNT(kTptTokenPasses);
 }
 
 void TptEngine::token_step() {
@@ -461,7 +466,6 @@ void TptEngine::check_timers() {
 }
 
 void TptEngine::start_claim(NodeId detector) {
-  WRT_COUNT(kTptClaims);
   trace_.record(sim::EventKind::kClaimStarted, now_, detector);
   util::log(util::LogLevel::kInfo,
             "TPT: token loss detected by station " + std::to_string(detector));
@@ -483,7 +487,6 @@ void TptEngine::start_claim(NodeId detector) {
 
 void TptEngine::start_rebuild() {
   ++stats_.tree_rebuilds;
-  WRT_COUNT(kTptTreeRebuilds);
   util::log(util::LogLevel::kInfo, "TPT: tree rebuild started");
   state_ = TokenState::kRebuilding;
   claim_deadline_ = kNeverTick;
@@ -611,6 +614,7 @@ void TptEngine::step() {
 
 void TptEngine::run_slots(std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) step();
+  WRT_BATCH_FLUSH(telem_batch_);
 }
 
 }  // namespace wrt::tpt

@@ -36,6 +36,7 @@
 #include "phy/topology.hpp"
 #include "sim/event_trace.hpp"
 #include "sim/stats.hpp"
+#include "telemetry/metrics.hpp"
 #include "tpt/tree.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/traffic.hpp"
@@ -224,6 +225,13 @@ class TptEngine final {
 
   TptStats stats_;
   sim::EventTrace trace_;
+
+#if WRT_TELEMETRY_LEVEL
+  // Publishes the tpt_* registry counters from stats_ at run_slots()
+  // return, on destruction and by every registry snapshot.  Declared last
+  // so its destructor's flush still reads live counters.
+  telemetry::TelemetryBatch telem_batch_;
+#endif
 };
 
 }  // namespace wrt::tpt

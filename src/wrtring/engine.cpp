@@ -26,15 +26,35 @@ Engine::Engine(phy::Topology* topology, Config config, std::uint64_t seed)
   assert(topology_ != nullptr);
   assert(config_.hop_latency_slots >= 1);
 #if WRT_TELEMETRY_LEVEL
-  // Snapshots drain this batch, so registry totals stay exact even for
-  // drivers that call bare step() between flush boundaries.
-  telemetry::MetricRegistry::instance().add_flush_source(&telem_batch_);
-#endif
-}
-
-Engine::~Engine() {
-#if WRT_TELEMETRY_LEVEL
-  telemetry::MetricRegistry::instance().remove_flush_source(&telem_batch_);
+  // Each registry counter is published from the one field that counts it.
+  using telemetry::CounterId;
+  telemetry::TelemetryBatch& batch = telem_batch_;
+  batch.publish(CounterId::kSlotsStepped,
+                [this] { return static_cast<std::uint64_t>(now_slots()); });
+  batch.publish(CounterId::kSatHandoffs, stats_.sat_hops);
+  batch.publish(CounterId::kSatArrivals, stats_.sat_arrivals);
+  batch.publish(CounterId::kSatHolds, stats_.sat_holds);
+  batch.publish(CounterId::kTxRealTime, stats_.tx_by_class[0]);
+  batch.publish(CounterId::kTxAssured, stats_.tx_by_class[1]);
+  batch.publish(CounterId::kTxBestEffort, stats_.tx_by_class[2]);
+  batch.publish(CounterId::kTransitForwards, stats_.transit_forwards);
+  batch.publish(CounterId::kDeliveries,
+                [this] { return stats_.sink.total_delivered(); });
+  batch.publish(CounterId::kFramesLost, stats_.frames_lost_link);
+  batch.publish(CounterId::kFramesLostRebuild, stats_.frames_lost_rebuild);
+  batch.publish(CounterId::kFramesLostChurn, stats_.frames_lost_churn);
+  batch.publish(CounterId::kControlMsgsLost, stats_.control_messages_lost);
+  batch.publish(CounterId::kJoinRetries, stats_.join_retries);
+  batch.publish(CounterId::kJoins, stats_.joins_completed);
+  batch.publish(CounterId::kJoinsRejected, stats_.joins_rejected);
+  batch.publish(CounterId::kLeaves, stats_.leaves_completed);
+  batch.publish(CounterId::kCutOuts, stats_.cut_outs);
+  batch.publish(CounterId::kSpuriousCutOuts, stats_.spurious_cutouts);
+  batch.publish(CounterId::kSatLossesDetected, stats_.sat_losses_detected);
+  batch.publish(CounterId::kSatRecoveries, stats_.sat_recoveries);
+  batch.publish(CounterId::kRingRebuilds, stats_.ring_rebuilds);
+  batch.publish(CounterId::kRapsStarted, stats_.raps_started);
+  fsm_.publish_counters(batch);
 #endif
 }
 
@@ -395,7 +415,6 @@ void Engine::step() {
   if (journal_queue_sample_slots_ > 0) maybe_sample_queues();
 
   now_ += kTicksPerSlot;
-  WRT_BATCH_COUNT(telem_batch_, kSlotsStepped);
 #if WRT_TELEMETRY_LEVEL
   if ((now_slots() & (kTelemetryFlushSlots - 1)) == 0) telem_batch_.flush();
 #endif
@@ -424,8 +443,8 @@ void Engine::maybe_periodic_audit() {
 
 void Engine::run_slots(std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) step();
-  // Publish staged hot-path telemetry so registry totals are exact whenever
-  // a driving loop has handed control back.
+  // Publish counters and staged histograms so registry totals are exact
+  // whenever a driving loop has handed control back.
   WRT_BATCH_FLUSH(telem_batch_);
 }
 
@@ -440,8 +459,6 @@ bool Engine::data_allowed() const noexcept {
 // ---------------------------------------------------------------------------
 
 void Engine::deliver(LinkFrame& frame, NodeId at) {
-  // Deliveries are counted per slot (WRT_COUNT_N in data_plane_step), not
-  // here: one batched atomic per slot instead of one per absorbed frame.
   stats_.sink.record_delivery(frame.packet, now_);
   journal_record(at, telemetry::JournalKind::kDeliver, frame.packet.src);
   if (delivery_tap_) delivery_tap_(frame.packet, at, now_);
@@ -513,7 +530,6 @@ void Engine::data_plane_step() {
   // Phase 1: arrivals.  A frame sent last slot reaches the next station now;
   // the destination absorbs it (destination release, enabling spatial
   // reuse), everything else becomes this slot's transit load.
-  std::uint64_t delivered_now = 0;
   for (std::size_t p = 0; p < R; ++p) {
     const std::size_t upstream = p == 0 ? R - 1 : p - 1;
     if (kernel_.link_empty(upstream)) continue;
@@ -527,7 +543,6 @@ void Engine::data_plane_step() {
     const NodeId here = order[p];
     if (frame.packet.dst == here) {
       deliver(frame, here);
-      ++delivered_now;
       kernel_.link_pop(upstream);
       continue;
     }
@@ -551,17 +566,12 @@ void Engine::data_plane_step() {
   // empty slot may be filled by a local packet per the Send algorithm.
   const bool injection_allowed = data_allowed();
   std::size_t busy_links_now = 0;
-  // Per-slot telemetry accumulators: one relaxed atomic per class per slot
-  // instead of one per transmission (dead code when WRT_TELEMETRY=OFF).
-  std::uint64_t tx_by_class[3] = {0, 0, 0};
-  std::uint64_t transit_now = 0;
   LinkFrame inject_scratch;
   for (std::size_t p = 0; p < R; ++p) {
     LinkFrame* out = nullptr;
     if (kernel_.transit(p).busy) {
       out = &kernel_.transit(p);
       ++stats_.transit_forwards;
-      ++transit_now;
     } else if (injection_allowed && active_cache_[p]) {
       if (const auto cls = kernel_.eligible_class(p)) {
         traffic::Packet packet = kernel_.take_for_transmit(p, *cls);
@@ -576,7 +586,7 @@ void Engine::data_plane_step() {
         } else {
           WRT_BATCH_OBSERVE(telem_batch_, kBeAccessDelaySlots, delay);
         }
-        ++tx_by_class[static_cast<std::size_t>(packet.cls)];
+        ++stats_.tx_by_class[static_cast<std::size_t>(packet.cls)];
         journal_record(order[p], telemetry::JournalKind::kTransmit,
                        static_cast<std::uint32_t>(packet.cls),
                        static_cast<std::uint64_t>(now_ - packet.created));
@@ -593,7 +603,6 @@ void Engine::data_plane_step() {
     if (!link_ok_cache_[p]) {
       out->busy = false;
       ++stats_.frames_lost_link;
-      WRT_BATCH_COUNT(telem_batch_, kFramesLost);
       continue;
     }
     const NodeId sender = order[p];
@@ -602,7 +611,6 @@ void Engine::data_plane_step() {
         link_loss_.offer(fault::LossPurpose::kData, sender, receiver)) {
       out->busy = false;
       ++stats_.frames_lost_link;
-      WRT_BATCH_COUNT(telem_batch_, kFramesLost);
       continue;
     }
     if (config_.cdma_fidelity) {
@@ -627,11 +635,6 @@ void Engine::data_plane_step() {
   }
   stats_.busy_links.update(
       now_, static_cast<double>(busy_links_now) / static_cast<double>(R));
-  WRT_BATCH_COUNT_N(telem_batch_, kTxRealTime, tx_by_class[0]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTxAssured, tx_by_class[1]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTxBestEffort, tx_by_class[2]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTransitForwards, transit_now);
-  WRT_BATCH_COUNT_N(telem_batch_, kDeliveries, delivered_now);
 
   if (config_.cdma_fidelity) {
     stats_.cdma_collisions += channel_->end_slot();
@@ -728,7 +731,6 @@ void Engine::fast_data_plane_step() {
   // unique (each column feeds one position), and the slow loop visits
   // arrivals in ascending position order — sort to reproduce its stats and
   // journal ordering exactly.
-  std::uint64_t delivered_now = 0;
   auto& bucket =
       calendar_[static_cast<std::size_t>(now_slot) % buckets];
   if (!bucket.empty()) {
@@ -743,7 +745,6 @@ void Engine::fast_data_plane_step() {
         stats_.sink.record_drop(frame.packet);
       } else {
         deliver(frame, order[ev.position]);
-        ++delivered_now;
       }
       frame.busy = false;
       kernel_.link_count_[ev.column] = 0;
@@ -759,7 +760,6 @@ void Engine::fast_data_plane_step() {
   // Injections: walk the Send-eligibility bitmap in ascending position
   // order (word snapshot; set bits are re-verified so a stale bit can only
   // cost a check, never a wrong transmission).
-  std::uint64_t tx_by_class[3] = {0, 0, 0};
   std::uint64_t injected_now = 0;
   if (data_allowed()) {
     auto& bits = kernel_.eligible_bits_;
@@ -790,7 +790,7 @@ void Engine::fast_data_plane_step() {
         } else {
           WRT_BATCH_OBSERVE(telem_batch_, kBeAccessDelaySlots, delay);
         }
-        ++tx_by_class[static_cast<std::size_t>(packet.cls)];
+        ++stats_.tx_by_class[static_cast<std::size_t>(packet.cls)];
         journal_record(order[p], telemetry::JournalKind::kTransmit,
                        static_cast<std::uint32_t>(packet.cls),
                        static_cast<std::uint64_t>(now_ - packet.created));
@@ -831,11 +831,6 @@ void Engine::fast_data_plane_step() {
   stats_.busy_links.update(now_,
                            static_cast<double>(transit_now + injected_now) /
                                static_cast<double>(R));
-  WRT_BATCH_COUNT_N(telem_batch_, kTxRealTime, tx_by_class[0]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTxAssured, tx_by_class[1]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTxBestEffort, tx_by_class[2]);
-  WRT_BATCH_COUNT_N(telem_batch_, kTransitForwards, transit_now);
-  WRT_BATCH_COUNT_N(telem_batch_, kDeliveries, delivered_now);
   frames_view_stale_ = true;
 }
 
@@ -880,7 +875,7 @@ void Engine::record_rotation(std::size_t position, Tick arrival) {
   kernel_.last_rotation_arrival_[position] = arrival;
   std::vector<Tick>& history = kernel_.arrival_history_[position];
   history.push_back(arrival);
-  WRT_BATCH_COUNT(telem_batch_, kSatArrivals);
+  ++stats_.sat_arrivals;
   if (history.size() > kArrivalHistoryCap) {
     // Once per rotation per station: the 64-entry shift is cheaper than a
     // deque's allocation churn and keeps the history contiguous.
@@ -907,13 +902,11 @@ void Engine::sat_arrive(NodeId at) {
     // substitute it with a plain SAT.
     if (sat_.graceful_leave) {
       ++stats_.leaves_completed;
-      WRT_COUNT(kLeaves);
       journal_record(at, telemetry::JournalKind::kLeave, sat_.rec_failed);
       trace_.record(sim::EventKind::kLeaveCompleted, now_, at,
                     sat_.rec_failed);
     } else {
       ++stats_.sat_recoveries;
-      WRT_COUNT(kSatRecoveries);
       if (sat_lost_at_ != kNeverTick) {
         const double rec = ticks_to_slots_real(now_ - sat_lost_at_);
         stats_.recovery_total_slots.add(rec);
@@ -968,7 +961,7 @@ void Engine::sat_arrive(NodeId at) {
   } else {
     sat_state_ = SatState::kHeld;
     sat_hold_started_ = now_;
-    WRT_BATCH_COUNT(telem_batch_, kSatHolds);
+    ++stats_.sat_holds;
   }
 }
 
@@ -1003,7 +996,6 @@ void Engine::sat_release(NodeId from) {
     if (heal_cancelled) {
       fsm_.on_stale_rec_cancelled(now_);
       ++stats_.sat_recoveries;
-      WRT_COUNT(kSatRecoveries);
       if (sat_lost_at_ != kNeverTick) {
         const double rec = ticks_to_slots_real(now_ - sat_lost_at_);
         stats_.recovery_total_slots.add(rec);
@@ -1047,11 +1039,7 @@ void Engine::sat_release(NodeId from) {
       util::log(util::LogLevel::kInfo,
                 "WRT-Ring: cut out station " + std::to_string(failed));
       ++stats_.cut_outs;
-      WRT_COUNT(kCutOuts);
-      if (spurious) {
-        ++stats_.spurious_cutouts;
-        WRT_COUNT(kSpuriousCutOuts);
-      }
+      if (spurious) ++stats_.spurious_cutouts;
       journal_record(failed, telemetry::JournalKind::kCutOut,
                      sat_.rec_origin);
       trace_.record(sim::EventKind::kCutOut, now_, from, failed);
@@ -1106,7 +1094,6 @@ void Engine::sat_release(NodeId from) {
   sat_arrival_tick_ =
       now_ + slots_to_ticks(config_.effective_sat_hop_latency());
   ++stats_.sat_hops;
-  WRT_BATCH_COUNT(telem_batch_, kSatHandoffs);
   journal_record(from, telemetry::JournalKind::kSatRelease, target);
 }
 
@@ -1201,7 +1188,6 @@ void Engine::check_sat_timers() {
 
 void Engine::start_recovery(NodeId detector) {
   ++stats_.sat_losses_detected;
-  WRT_COUNT(kSatLossesDetected);
   journal_record(detector, telemetry::JournalKind::kSatRecStart,
                  ring_.predecessor(detector));
   trace_.record(sim::EventKind::kLossDetected, now_, detector,
@@ -1240,10 +1226,8 @@ void Engine::drop_in_flight_frames(TeardownCause cause) {
   if (dropped > 0) {
     if (cause == TeardownCause::kJoin) {
       stats_.frames_lost_churn += dropped;
-      WRT_COUNT_N(kFramesLostChurn, dropped);
     } else {
       stats_.frames_lost_rebuild += dropped;
-      WRT_COUNT_N(kFramesLostRebuild, dropped);
     }
     if (ring_.size() > 0) {
       journal_record(ring_.station_at(0), telemetry::JournalKind::kRebuildDrop,
@@ -1255,7 +1239,6 @@ void Engine::drop_in_flight_frames(TeardownCause cause) {
 
 void Engine::start_rebuild() {
   ++stats_.ring_rebuilds;
-  WRT_COUNT(kRingRebuilds);
   trace_.record(sim::EventKind::kRebuildStarted, now_);
   util::log(util::LogLevel::kInfo, "WRT-Ring: ring re-formation started");
   drop_in_flight_frames();
@@ -1543,7 +1526,6 @@ std::uint64_t Engine::frames_in_flight() const noexcept {
 
 void Engine::begin_rap(NodeId ingress) {
   ++stats_.raps_started;
-  WRT_COUNT(kRapsStarted);
   trace_.record(sim::EventKind::kRapStarted, now_, ingress);
   rap_ingress_ = ingress;
   rap_ear_end_ = now_ + slots_to_ticks(config_.t_ear_slots);
@@ -1582,7 +1564,6 @@ void Engine::begin_rap(NodeId ingress) {
     if (next_free_dropped ||
         link_loss_.offer(fault::LossPurpose::kControl, ingress, joiner)) {
       ++stats_.control_messages_lost;
-      WRT_COUNT(kControlMsgsLost);
       continue;
     }
     // "When the station receives another NEXT_FREE message from the same
@@ -1620,14 +1601,12 @@ void Engine::begin_rap(NodeId ingress) {
   if (take_control_drop(ControlMsg::kJoinReq) ||
       link_loss_.offer(fault::LossPurpose::kControl, joiner, ingress)) {
     ++stats_.control_messages_lost;
-    WRT_COUNT(kControlMsgsLost);
     register_join_backoff(joiner);
     return;
   }
   // Slot 2: admission check + JOIN_ACK on code(ingress).
   if (!admission_allows(join.quota)) {
     ++stats_.joins_rejected;
-    WRT_COUNT(kJoinsRejected);
     trace_.record(sim::EventKind::kJoinRejected, now_, joiner, ingress);
     pending_joins_.erase(joiner);
     return;
@@ -1638,7 +1617,6 @@ void Engine::begin_rap(NodeId ingress) {
   if (take_control_drop(ControlMsg::kJoinAck) ||
       link_loss_.offer(fault::LossPurpose::kControl, ingress, joiner)) {
     ++stats_.control_messages_lost;
-    WRT_COUNT(kControlMsgsLost);
     register_join_backoff(joiner);
     return;
   }
@@ -1651,7 +1629,6 @@ void Engine::register_join_backoff(NodeId joiner) {
   PendingJoin& join = it->second;
   ++join.attempts;
   ++stats_.join_retries;
-  WRT_COUNT(kJoinRetries);
   journal_record(joiner, telemetry::JournalKind::kControlLost, join.attempts);
   if (join.attempts >= config_.join_max_attempts) {
     ++stats_.joins_abandoned;
@@ -1736,7 +1713,6 @@ void Engine::complete_join(NodeId joiner, NodeId ingress) {
   ++stats_.joins_completed;
   const double join_latency = ticks_to_slots_real(now_ - join.requested_at);
   stats_.join_latency_slots.add(join_latency);
-  WRT_COUNT(kJoins);
   WRT_OBSERVE(kJoinLatencySlots, join_latency);
   journal_record(joiner, telemetry::JournalKind::kJoin, ingress);
   util::log(util::LogLevel::kInfo,

@@ -39,6 +39,7 @@
 // stepping is lookup-free.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -79,8 +80,12 @@ struct EngineStats {
   sim::SampleStats rt_access_delay_slots;
   traffic::Sink sink;                    ///< delivery accounting
   std::uint64_t sat_hops = 0;            ///< SAT link traversals
+  std::uint64_t sat_arrivals = 0;        ///< SAT arrivals at a station
+  std::uint64_t sat_holds = 0;           ///< SAT held by an unsatisfied station
   std::uint64_t sat_rounds = 0;          ///< completed rotations (station 0)
   std::uint64_t data_transmissions = 0;  ///< local injections
+  /// Local injections per TrafficClass (real-time, assured, best-effort).
+  std::array<std::uint64_t, 3> tx_by_class{};
   std::uint64_t transit_forwards = 0;
   std::uint64_t frames_lost_link = 0;    ///< frames dropped on a broken hop
   /// In-flight frames discarded when a re-formation (join update phase,
@@ -143,8 +148,6 @@ class WRT_SHARD_CONFINED Engine final {
   /// `topology` must outlive the engine; the engine mutates liveness when
   /// stations are killed and reads reachability every slot.
   Engine(phy::Topology* topology, Config config, std::uint64_t seed);
-
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -673,9 +676,10 @@ class WRT_SHARD_CONFINED Engine final {
   std::int64_t journal_queue_sample_slots_ = 0;
 
 #if WRT_TELEMETRY_LEVEL
-  // Engine-local staging for hot-path counters and histograms (plain
-  // integer bumps); published to the process-wide registry every
-  // kTelemetryFlushSlots slots, at run_slots() return, and on destruction.
+  // Publishes stats_ and fsm_ counters and stages hot-path histograms;
+  // flushed to the process-wide registry every kTelemetryFlushSlots slots,
+  // at run_slots() return, on destruction and by every registry snapshot.
+  // Declared last so its destructor's flush still reads live counters.
   static constexpr std::int64_t kTelemetryFlushSlots = 64;
   telemetry::TelemetryBatch telem_batch_;
 #endif

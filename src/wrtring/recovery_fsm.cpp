@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/registry.hpp"
 #include "wrtring/engine.hpp"
 
 namespace wrt::wrtring {
@@ -88,7 +89,13 @@ void RecoveryFsm::enter(RecoveryState next, Tick now) {
   if (next == state_) return;
   state_ = next;
   ++transitions_;
-  WRT_COUNT(kRecoveryFsmTransitions);
+}
+
+void RecoveryFsm::publish_counters(telemetry::TelemetryBatch& batch) const {
+  using telemetry::CounterId;
+  batch.publish(CounterId::kRecoveryFsmTransitions, transitions_);
+  batch.publish(CounterId::kStaleRecSuppressed, stale_rec_suppressed_);
+  batch.publish(CounterId::kWtrHoldoffs, wtr_holdoffs_);
 }
 
 void RecoveryFsm::open_guard(Tick now) {
@@ -110,7 +117,6 @@ bool RecoveryFsm::on_signal_fail(NodeId detector, NodeId accused, Tick now) {
                  guard_active(now));
   if (d.action == RecoveryAction::kSuppress) {
     ++stale_rec_suppressed_;
-    WRT_COUNT(kStaleRecSuppressed);
     if (accused == last_failed_ && last_failed_ != kInvalidNode) {
       ++duplicate_requests_dropped_;
     }
@@ -176,7 +182,6 @@ void RecoveryFsm::on_rebuild_complete(Tick now, double mttr_slots) {
 
 void RecoveryFsm::on_stale_rec_cancelled(Tick now) {
   ++stale_rec_suppressed_;
-  WRT_COUNT(kStaleRecSuppressed);
   last_failed_ = kInvalidNode;
   last_origin_ = kInvalidNode;
   // The cancellation ends the protection episode the same way a completion
@@ -200,10 +205,7 @@ RecoveryFsm::Admit RecoveryFsm::on_station_cut(NodeId node, Quota quota,
   candidate.forced = forced;
   candidate.healthy_since = kNeverTick;  // tick() starts the clock
   candidates_.push_back(candidate);
-  if (!forced && tuning_.wtr_slots > 0) {
-    ++wtr_holdoffs_;
-    WRT_COUNT(kWtrHoldoffs);
-  }
+  if (!forced && tuning_.wtr_slots > 0) ++wtr_holdoffs_;
   (void)now;
   return Admit::kHeld;
 }

@@ -53,6 +53,10 @@ class InvariantAuditor;
 struct EngineTestHook;
 }  // namespace wrt::check
 
+namespace wrt::telemetry {
+class TelemetryBatch;
+}  // namespace wrt::telemetry
+
 namespace wrt::wrtring {
 
 class Engine;
@@ -219,6 +223,10 @@ class RecoveryFsm {
   }
 
   // -- observability -------------------------------------------------------
+
+  /// Publishes transitions(), stale_rec_suppressed() and wtr_holdoffs()
+  /// through the owning engine's telemetry batch.
+  void publish_counters(telemetry::TelemetryBatch& batch) const;
 
   [[nodiscard]] std::uint64_t transitions() const noexcept {
     return transitions_;

@@ -58,6 +58,9 @@ TEST(FederationDeterminismTest, DigestIdenticalForWorkerCounts128) {
 }
 
 TEST(FederationDeterminismTest, RegistryCountsExactAfterJoin) {
+  if (!telemetry::kTelemetryEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
   const auto delivery_counter = telemetry::CounterId::kDeliveries;
   auto& registry = telemetry::MetricRegistry::instance();
   const std::uint64_t before = registry.counter(delivery_counter);
@@ -72,8 +75,8 @@ TEST(FederationDeterminismTest, RegistryCountsExactAfterJoin) {
   for (std::uint32_t r = 0; r < federation.ring_count(); ++r) {
     sink_total += federation.ring_engine(r).stats().sink.total_delivered();
   }
-  // run_slots() flushes every engine's TelemetryBatch at return, so after
-  // the final epoch barrier the shared counter is exact, not advisory.
+  // run_slots() publishes every engine's counters at return, so after the
+  // final epoch barrier the shared counter is exact, not advisory.
   EXPECT_EQ(registry.counter(delivery_counter) - before, sink_total);
 }
 

@@ -147,6 +147,89 @@ TEST(Journal, LoadRejectsForeignFile) {
   std::remove(path.c_str());
 }
 
+/// A hand-built journal file: one header, no quotas unless asked, and one
+/// ring holding `count` zeroed records.
+struct CraftedJournal {
+  std::uint64_t capacity = 4;
+  std::uint32_t quota_count = 0;
+  NodeId station = 1;
+  std::uint64_t count = 1;
+
+  [[nodiscard]] std::string write(const std::string& name) const {
+    const std::string path = temp_path(name);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const auto pod = [&out](const auto& value) {
+      out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+    };
+    out.write("WRTJRNL1", 8);
+    pod(std::uint32_t{1});         // version
+    pod(capacity);
+    pod(std::uint64_t{count});     // total recorded
+    pod(std::int64_t{32});         // ring latency
+    pod(std::int64_t{20});         // T_rap
+    pod(quota_count);              // no quota records follow
+    pod(std::uint32_t{1});         // ring count
+    pod(station);
+    pod(std::uint64_t{0});         // dropped
+    pod(count);
+    for (std::uint64_t i = 0; i < count; ++i) pod(JournalEvent{});
+    return path;
+  }
+};
+
+TEST(Journal, LoadDoesNotAllocateTheDeclaredCapacity) {
+  // Capacity is a bound, not a size: a ring holds only the records it has,
+  // so a journal declaring 2^40 slots per station loads in a few bytes.
+  CraftedJournal crafted;
+  crafted.capacity = std::uint64_t{1} << 40;
+  const std::string path = crafted.write("journal_huge_capacity.jrnl");
+  const auto loaded = Journal::load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  EXPECT_EQ(loaded.value().capacity_per_station(), crafted.capacity);
+  EXPECT_EQ(loaded.value().events(crafted.station).size(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, LoadRejectsQuotaCountBeyondFile) {
+  CraftedJournal crafted;
+  crafted.quota_count = 0xFFFFFFFFu;
+  const std::string path = crafted.write("journal_quota_count.jrnl");
+  const auto loaded = Journal::load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, util::Error::Code::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, LoadRejectsStationIdOutOfRange) {
+  CraftedJournal crafted;
+  crafted.station = 0xFFFFFFF0u;
+  const std::string path = crafted.write("journal_station_id.jrnl");
+  const auto loaded = Journal::load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, util::Error::Code::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, LoadRejectsRecordCountBeyondFile) {
+  CraftedJournal crafted;
+  crafted.capacity = std::uint64_t{1} << 40;
+  const std::string path = crafted.write("journal_record_count.jrnl");
+  {
+    // Rewrite the ring's record count (the last 8 bytes before the single
+    // record) to claim far more records than the file holds.
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(-static_cast<std::streamoff>(sizeof(JournalEvent) +
+                                          sizeof(std::uint64_t)),
+             std::ios::end);
+    const std::uint64_t claimed = std::uint64_t{1} << 36;
+    io.write(reinterpret_cast<const char*>(&claimed), sizeof(claimed));
+  }
+  const auto loaded = Journal::load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, util::Error::Code::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
 TEST(Journal, KindNamesAreClosed) {
   for (int k = 0; k <= static_cast<int>(JournalKind::kSnapshot); ++k) {
     EXPECT_STRNE(to_string(static_cast<JournalKind>(k)), "unknown") << k;
