@@ -1,9 +1,11 @@
 // Federation scaling bench (DESIGN.md §12): sharded multi-ring fabric with
 // epoch-synchronized gateway exchange.
 //
-// Reports aggregate throughput (station-slots/sec), end-to-end RT crossing
-// delay quantiles, and the shard-scaling speedup at 1M+ stations.  Two
-// throughput figures are emitted side by side:
+// The headline is wall-clock: station-slots/sec at K=8 for W ∈ {1, 2, 4,
+// 8} worker threads on a 512-ring fabric with 16-slot epochs, the median
+// of 5 runs each.  It then reports aggregate throughput, end-to-end RT
+// crossing delay quantiles, and the shard-scaling speedup at 1M+ stations,
+// with two throughput figures side by side:
 //
 //   wall          — station_slots / wall seconds on THIS host.  On a box
 //                   with fewer cores than shards the workers time-share,
@@ -17,8 +19,10 @@
 //                   host because busy time is per-thread, not per-machine.
 //
 // `--determinism` runs only the worker-count invariance check (same
-// (seed, K) -> same digest for W ∈ {1, 2, 8}) and exits 0/1; scripts/
-// check.sh --federation-smoke and CI use it as the cheap race oracle.
+// (seed, K) -> same digest for W ∈ {1, 2, 8} in one run_epochs call, and
+// for W=8 stepped one run_epochs(1) at a time, which reuses the worker
+// pool across calls) and exits 0/1; scripts/check.sh --federation-smoke
+// and CI use it as the cheap race oracle.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "sim/stats.hpp"
 #include "wrtring/federation.hpp"
 
 namespace wrt {
@@ -61,8 +66,10 @@ struct RunResult {
   std::uint64_t digest = 0;
 };
 
+/// Runs `epochs` epochs in one run_epochs call, or in `epochs` calls of
+/// one epoch each when `stepped`.
 RunResult run_federation(const wrtring::FederationConfig& config,
-                         std::int64_t epochs) {
+                         std::int64_t epochs, bool stepped = false) {
   RunResult result;
   wrtring::FederationEngine federation(config, kSeed);
   if (!federation.init().ok()) {
@@ -70,7 +77,11 @@ RunResult run_federation(const wrtring::FederationConfig& config,
     return result;
   }
   const auto start = std::chrono::steady_clock::now();
-  federation.run_epochs(epochs);
+  if (stepped) {
+    for (std::int64_t e = 0; e < epochs; ++e) federation.run_epochs(1);
+  } else {
+    federation.run_epochs(epochs);
+  }
   const auto stop = std::chrono::steady_clock::now();
   result.ok = true;
   result.wall_seconds =
@@ -97,30 +108,37 @@ double station_slots_per_sec(const wrtring::FederationStats& stats,
              : 0.0;
 }
 
-/// Same (seed, K) must digest identically for any worker count.
+/// Same (seed, K) must digest identically for any worker count, and for
+/// a stepped run that reuses the pool across run_epochs calls.
 bool determinism_check(std::uint32_t shards) {
+  struct Pass {
+    std::uint32_t workers;
+    bool stepped;
+  };
   const std::int64_t epochs = 6;
   std::uint64_t reference = 0;
   bool first = true;
-  for (const std::uint32_t workers : {1U, 2U, 8U}) {
+  for (const Pass pass : {Pass{1, false}, Pass{2, false}, Pass{8, false},
+                          Pass{8, true}}) {
     wrtring::FederationConfig config =
-        make_config(/*rings=*/16, /*stations=*/8, shards, workers);
+        make_config(/*rings=*/16, /*stations=*/8, shards, pass.workers);
     config.epoch_slots = 16;
-    const RunResult result = run_federation(config, epochs);
+    const RunResult result = run_federation(config, epochs, pass.stepped);
     if (!result.ok) return false;
     if (first) {
       reference = result.digest;
       first = false;
     } else if (result.digest != reference) {
-      std::printf("determinism FAIL: K=%u W=%u digest %016llx != %016llx\n",
-                  shards, workers,
+      std::printf("determinism FAIL: K=%u W=%u%s digest %016llx != %016llx\n",
+                  shards, pass.workers, pass.stepped ? " stepped" : "",
                   static_cast<unsigned long long>(result.digest),
                   static_cast<unsigned long long>(reference));
       return false;
     }
   }
-  std::printf("determinism ok: K=%u, W in {1,2,8} -> digest %016llx\n",
-              shards, static_cast<unsigned long long>(reference));
+  std::printf(
+      "determinism ok: K=%u, W in {1,2,8} + W=8 stepped -> digest %016llx\n",
+      shards, static_cast<unsigned long long>(reference));
   return true;
 }
 
@@ -143,6 +161,44 @@ int main(int argc, char** argv) {
   const bool ok = determinism_check(2) && determinism_check(8);
   reporter.metric("determinism_ok", ok ? 1.0 : 0.0, "bool");
   if (!ok) return 1;
+
+  // Wall-clock worker scaling at K=8: the same fabric and seed on W = 1, 2,
+  // 4 and 8 threads, setup excluded, median of 5 runs per W.  This is the
+  // headline; the critical-path figures below are a model of an
+  // adequately-cored host.
+  {
+    const std::uint32_t rings = reporter.smoke() ? 64 : 512;
+    const std::uint32_t stations = reporter.smoke() ? 8 : 16;
+    const std::int64_t epochs = reporter.smoke() ? 16 : 128;
+    constexpr int kRuns = 5;
+    util::Table workers_table(
+        "Wall-clock worker scaling at K=8 (E=16, " + std::to_string(rings) +
+            " rings x " + std::to_string(stations) + " stations, median of " +
+            std::to_string(kRuns) + " runs)",
+        {"W", "wall ms", "Mss/s wall", "vs W=1"});
+    double w1_rate = 0.0;
+    for (const std::uint32_t workers : {1U, 2U, 4U, 8U}) {
+      wrtring::FederationConfig config =
+          make_config(rings, stations, /*shards=*/8, workers);
+      config.epoch_slots = 16;
+      sim::SampleStats seconds;
+      sim::SampleStats rates;
+      for (int run = 0; run < kRuns; ++run) {
+        const RunResult result = run_federation(config, epochs);
+        if (!result.ok) return 1;
+        seconds.add(result.wall_seconds);
+        rates.add(station_slots_per_sec(result.stats, result.wall_seconds));
+      }
+      const double rate = rates.quantile(0.5);
+      if (workers == 1) w1_rate = rate;
+      workers_table.add_row({static_cast<std::int64_t>(workers),
+                             seconds.quantile(0.5) * 1e3, rate / 1e6,
+                             w1_rate > 0.0 ? rate / w1_rate : 0.0});
+      reporter.metric("wall_station_slots_per_sec_w" + std::to_string(workers),
+                      rate, "station-slots/s");
+    }
+    bench::emit(workers_table, csv);
+  }
 
   // Scaling sweep at K=8: fabric size vs aggregate throughput.  Smoke mode
   // shrinks the grid so CI exercises the full path in seconds.

@@ -25,6 +25,53 @@ constexpr FlowId kCrossingFlowBase = FlowId{1} << 30;
 /// a federation run).
 constexpr NodeId kGatewayNode = 0;
 
+/// `pause` iterations a pool thread spins on a go/done signal before it
+/// parks in atomic::wait: ~400 µs where a pause costs ~25 ns, as on
+/// recent Intel Xeons.  That outlasts the imbalance within an epoch and a
+/// short serial pass between run_epochs calls (perfbench's federation
+/// audit between chunks, ~150 µs on a 4-core Xeon), so a stepping caller
+/// does not pay a futex wake and a cold core per call; a caller that
+/// stops stepping parks the pool soon after.  A pool wider than the host
+/// does not spin: a spinning waiter would hold a core that a thread with
+/// shards still to run is queued for.
+constexpr int kSpinPauses = 1 << 14;
+
+/// While spinning, a waiter yields its core once per this many pauses.
+/// The kernel may leave pool threads on the core they were created on
+/// (cpusets with load balancing off do), and a waiter that shares a core
+/// with the thread it waits for would otherwise starve that thread until
+/// the spin runs out: 2 ms epochs instead of 0.3 ms on such a host.
+constexpr int kPausesPerYield = 64;
+
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Waits until `signal` no longer holds `seen` and returns the new value:
+/// spins `spins` iterations, then parks.  The acquire load pairs with the
+/// release store or RMW that changed it.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& signal,
+                           std::uint32_t seen, int spins) {
+  for (int i = 1; i <= spins; ++i) {
+    const std::uint32_t now = signal.load(std::memory_order_acquire);
+    if (now != seen) return now;
+    if (i % kPausesPerYield == 0) {
+      std::this_thread::yield();
+    } else {
+      cpu_relax();
+    }
+  }
+  for (;;) {
+    signal.wait(seen, std::memory_order_acquire);
+    const std::uint32_t now = signal.load(std::memory_order_acquire);
+    if (now != seen) return now;
+  }
+}
+
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -74,7 +121,7 @@ FederationEngine::FederationEngine(FederationConfig config,
                                    std::uint64_t seed)
     : config_(std::move(config)), seed_(seed) {}
 
-FederationEngine::~FederationEngine() = default;
+FederationEngine::~FederationEngine() { stop_workers(); }
 
 util::Status FederationEngine::init() {
   assert(!initialized_);
@@ -228,38 +275,82 @@ void FederationEngine::install_crossing_flows() {
   }
 }
 
+std::uint32_t FederationEngine::worker_count() const noexcept {
+  const auto K = static_cast<std::uint32_t>(shards_.size());
+  const std::uint32_t W =
+      config_.worker_threads == 0 ? K : config_.worker_threads;
+  return std::max(std::min(W, K), 1U);
+}
+
+void FederationEngine::run_worker_shards(std::uint32_t worker,
+                                         std::uint32_t width) {
+  // Static shard -> worker assignment (s mod W): a shard keeps its core
+  // and its warm caches from epoch to epoch.  The assignment has no
+  // semantic weight — shards never observe each other mid-epoch.
+  for (std::size_t s = worker; s < shards_.size(); s += width) {
+    shards_[s]->run_epoch(config_.epoch_slots);
+  }
+}
+
+void FederationEngine::start_workers(std::uint32_t width) {
+  stopping_ = false;
+  spin_pauses_ =
+      width <= std::thread::hardware_concurrency() ? kSpinPauses : 0;
+  workers_.reserve(width - 1);
+  try {
+    for (std::uint32_t w = 1; w < width; ++w) {
+      workers_.emplace_back(&FederationEngine::worker_main, this, w, width,
+                            generation_);
+    }
+  } catch (...) {
+    stop_workers();
+    throw;
+  }
+}
+
+void FederationEngine::stop_workers() noexcept {
+  if (workers_.empty()) return;
+  stopping_ = true;
+  go_.store(++generation_, std::memory_order_release);
+  go_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
+}
+
+void FederationEngine::worker_main(std::uint32_t worker, std::uint32_t width,
+                                   std::uint32_t generation) {
+  for (;;) {
+    // Acquire: the coordinator's flip and any serial work it did between
+    // epochs happen-before this worker touches its shards.
+    generation = await_change(go_, generation, spin_pauses_);
+    if (stopping_) return;
+    run_worker_shards(worker, width);
+    // Release: this epoch's shard writes happen-before the coordinator's
+    // acquire of done_ == 0 (every decrement heads a release sequence the
+    // last one continues).
+    if (done_.fetch_sub(1, std::memory_order_release) == 1) {
+      done_.notify_one();
+    }
+  }
+}
+
 void FederationEngine::run_epochs(std::int64_t epochs) {
   assert(initialized_);
-  const auto K = static_cast<std::uint32_t>(shards_.size());
-  std::uint32_t W = config_.worker_threads == 0 ? K : config_.worker_threads;
-  W = std::min(W, K);
-  if (W == 0) W = 1;
+  const std::uint32_t W = worker_count();
+  if (W > 1 && workers_.empty()) start_workers(W);
 
   for (std::int64_t e = 0; e < epochs; ++e) {
-    const Tick epoch_start = slots_to_ticks(now_slots_);
-    if (W == 1) {
-      for (auto& shard : shards_) {
-        shard->run_epoch(epoch_start, config_.epoch_slots);
-      }
-    } else {
-      // Static shard -> worker assignment (s mod W); the assignment has no
-      // semantic weight — shards never observe each other mid-epoch.
-      std::vector<std::thread> workers;
-      workers.reserve(W - 1);
-      for (std::uint32_t w = 1; w < W; ++w) {
-        workers.emplace_back([this, w, W, epoch_start, K] {
-          for (std::uint32_t s = w; s < K; s += W) {
-            shards_[s]->run_epoch(epoch_start, config_.epoch_slots);
-          }
-        });
-      }
-      for (std::uint32_t s = 0; s < K; s += W) {
-        shards_[s]->run_epoch(epoch_start, config_.epoch_slots);
-      }
-      for (std::thread& worker : workers) worker.join();
+    if (W > 1) {
+      done_.store(W - 1, std::memory_order_relaxed);
+      go_.store(++generation_, std::memory_order_release);
+      go_.notify_all();
+    }
+    run_worker_shards(0, W);
+    for (std::uint32_t left = W - 1; left != 0;) {
+      left = await_change(done_, left, spin_pauses_);
     }
 
-    // Barrier passed (threads joined): flip every mailbox serially so this
+    // Every worker has reported done: flip every mailbox serially so this
     // epoch's posts become next epoch's inbound.
     for (Mailbox& mailbox : mailboxes_) mailbox.flip();
 

@@ -13,14 +13,18 @@
 // semantic partition — it decides which backbone segment a crossing
 // traverses and the epoch quantization of its hand-offs; W ≤ K is pure
 // execution.  This holds because (a) shards touch only their own state
-// during an epoch, (b) mailbox buffers flip serially at the barrier,
-// (c) mailboxes are drained in fixed producer order, and (d) nothing in
-// the protocol reads a wall clock.  See DESIGN.md §12 for the argument
-// and tests/concurrency/federation_determinism_test.cpp for the proof.
+// during an epoch, (b) mailbox buffers flip serially on the coordinator
+// between epochs, ordered against the workers by the pool's go/done
+// release/acquire edges, (c) mailboxes are drained in fixed producer
+// order, and (d) nothing in the protocol reads a wall clock.  See
+// DESIGN.md §12 for the argument and
+// tests/concurrency/federation_determinism_test.cpp for the proof.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "util/result.hpp"
@@ -101,9 +105,16 @@ class FederationEngine {
   /// local + crossing traffic and brokers every crossing reservation.
   [[nodiscard]] util::Status init();
 
-  /// Runs `epochs` epochs of epoch_slots slots each.  With W > 1, each
-  /// epoch fans shards out over W workers and joins them at the barrier
-  /// before the serial mailbox flip.
+  /// Runs `epochs` epochs of epoch_slots slots each.  With W > 1 the
+  /// first call starts a persistent pool of W-1 worker threads, which the
+  /// engine owns until destruction; the calling thread is worker 0 and
+  /// shard s runs on worker s mod W.  Each epoch the caller publishes a
+  /// new generation on the "go" signal (release) and waits for the "done"
+  /// countdown to reach zero (acquire), so every shard's writes of the
+  /// epoch happen-before the serial mailbox flip, and the flip
+  /// happens-before the next epoch's drains.  Between calls the caller may
+  /// read and mutate shard state freely: the workers are idle until the
+  /// next go.
   void run_epochs(std::int64_t epochs);
 
   [[nodiscard]] std::int64_t now_slots() const noexcept { return now_slots_; }
@@ -150,6 +161,15 @@ class FederationEngine {
   [[nodiscard]] util::Status build_rings();
   void install_crossing_flows();
 
+  /// W: worker_threads clamped to [1, K] (0 means one per shard).
+  [[nodiscard]] std::uint32_t worker_count() const noexcept;
+  /// Worker `worker`'s share of an epoch: shards worker, worker + W, ...
+  void run_worker_shards(std::uint32_t worker, std::uint32_t width);
+  void start_workers(std::uint32_t width);
+  void stop_workers() noexcept;
+  void worker_main(std::uint32_t worker, std::uint32_t width,
+                   std::uint32_t generation);
+
   FederationConfig config_;
   std::uint64_t seed_;
   std::vector<std::unique_ptr<FederationShard>> shards_;
@@ -161,6 +181,16 @@ class FederationEngine {
   std::int64_t epochs_run_ = 0;
   std::int64_t critical_path_ns_ = 0;
   bool initialized_ = false;
+
+  // Persistent worker pool (empty until the first run_epochs with W > 1).
+  std::vector<std::thread> workers_;
+  std::uint32_t generation_ = 0;  ///< coordinator's copy of go_
+  int spin_pauses_ = 0;           ///< per wait, before parking
+  bool stopping_ = false;         ///< written before the final go
+  /// Bumped once per epoch (and once at shutdown) by the coordinator.
+  alignas(64) std::atomic<std::uint32_t> go_{0};
+  /// Set to W-1 before each go; every worker decrements it once.
+  alignas(64) std::atomic<std::uint32_t> done_{0};
 };
 
 }  // namespace wrt::wrtring

@@ -1,15 +1,19 @@
-// Inter-shard mail: double-buffered frame queues flushed at epoch barriers.
+// Inter-shard mail: double-buffered frame queues flipped between epochs.
 //
 // Federation shards never touch each other's engines (the shard-confinement
 // contract, DESIGN.md §11/§12).  All cross-shard traffic travels as
 // value-type FederationFrames through one Mailbox per ordered shard pair
 // (src, dst).  During an epoch the producing shard appends to the write
 // buffer and the consuming shard drains the read buffer — two distinct
-// vectors, so the two threads never share a byte.  At the epoch barrier,
-// after every worker has joined, the coordinator flips the buffers
-// serially.  The thread join is the synchronization point: there is no
-// lock and no atomic in this file, and none is needed, because no buffer
-// is ever written and read inside the same barrier interval.
+// vectors, so the two threads never share a byte.  Between epochs the
+// coordinator flips the buffers serially.  The worker pool's go/done
+// signals order every access (FederationEngine::run_epochs): each
+// worker's release decrement of "done", acquired by the coordinator,
+// makes the epoch's posts happen-before the flip, and the coordinator's
+// release of the next "go", acquired by each worker, makes the flip
+// happen-before the next drains.  So there is no lock and no atomic in
+// this file, and none is needed: no buffer is ever written and read
+// inside the same epoch.
 //
 // Frames are plain values on purpose: the lint rule `cross-shard-handle`
 // rejects pointer/reference members in *Frame types under wrtring/, which
@@ -50,7 +54,7 @@ class Mailbox {
     return read_;
   }
 
-  /// Epoch barrier only (single-threaded): publishes this epoch's posts as
+  /// Coordinator only, between epochs: publishes this epoch's posts as
   /// next epoch's inbound and recycles the drained buffer.
   void flip() {
     read_.swap(write_);

@@ -113,8 +113,7 @@ void FederationShard::on_delivery(std::size_t slot,
   }
 }
 
-void FederationShard::run_epoch(Tick epoch_start, std::int64_t epoch_slots) {
-  (void)epoch_start;  // engines keep their own clocks, in lockstep by design
+void FederationShard::run_epoch(std::int64_t epoch_slots) {
   const std::int64_t t0 = thread_cpu_ns();
 
   // (1) Backbone egress buffered at the end of the previous epoch enters

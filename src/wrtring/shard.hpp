@@ -8,8 +8,12 @@
 // is a value-type FederationFrame posted into a Mailbox owned by the
 // coordinator (drained by the destination shard next epoch), and the only
 // data that enters is the read half of those mailboxes.  Everything here
-// is therefore single-threaded by construction; the epoch barrier in
-// FederationEngine::run_epochs is the sole synchronization point.
+// is therefore single-threaded by construction.  The only
+// synchronization is the worker pool's go/done pair in
+// FederationEngine::run_epochs: the coordinator's release of "go" makes
+// its serial work happen-before the worker's run_epoch, and the worker's
+// release decrement of "done" makes the epoch's writes happen-before
+// the coordinator's reads once it acquires done == 0.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +49,9 @@ struct InboundRoute {
   NodeId gateway = kInvalidNode;  ///< injecting station (G1 of the dst ring)
 };
 
-/// Integer crossing counters; summed across shards after the epoch loop
-/// (exact — workers have joined) and folded into the federation digest.
+/// Integer crossing counters; summed across shards between run_epochs
+/// calls (exact — every worker has reported done) and folded into the
+/// federation digest.
 struct ShardCounters {
   std::uint64_t crossings_posted = 0;    ///< frames handed to a mailbox
   std::uint64_t crossings_received = 0;  ///< frames drained into the backbone
@@ -55,9 +60,9 @@ struct ShardCounters {
   std::uint64_t crossing_drops = 0;      ///< unroutable or injection-refused
 };
 
-/// Shard-confined: every method below (other than the serial wiring
-/// helpers used by FederationEngine::init before workers exist) must be
-/// called from the shard's owning worker thread.
+/// Shard-confined: run_epoch runs on the shard's worker; the serial
+/// wiring helpers (FederationEngine::init) and the accessors run on the
+/// coordinator between epochs, ordered by the pool's go/done signals.
 class WRT_SHARD_CONFINED FederationShard {
  public:
   FederationShard(std::uint32_t index, std::uint32_t shard_count,
@@ -91,9 +96,9 @@ class WRT_SHARD_CONFINED FederationShard {
   /// buffering egress for next epoch, (4) steps every ring engine
   /// epoch_slots slots (gateway taps post outbound frames).  Touches only
   /// shard-owned state plus the mailbox halves assigned to this shard.
-  void run_epoch(Tick epoch_start, std::int64_t epoch_slots);
+  void run_epoch(std::int64_t epoch_slots);
 
-  // -- accounting (serial, after workers have joined) --------------------
+  // -- accounting (coordinator, between epochs) ---------------------------
 
   [[nodiscard]] std::uint32_t index() const noexcept { return index_; }
   [[nodiscard]] std::size_t ring_count() const noexcept {

@@ -6,12 +6,15 @@
 // 8-shard scenario at W ∈ {1, 2, 8} and compares digests; under
 // `scripts/check.sh --tsan` (which builds and runs this whole binary) it
 // doubles as the race probe for the mailbox double-buffering and the
-// epoch barrier: workers post/drain mailbox halves and flush telemetry
-// into the shared registry while the coordinator owns the flips.
+// worker pool's go/done signals: workers post/drain mailbox halves and
+// flush telemetry into the shared registry while the coordinator owns the
+// flips, which are ordered against the workers only by the release of
+// "go" and the acquire of "done" reaching zero.
 //
-// It also pins the registry-exactness guarantee from PR 7 at federation
-// scale: after the workers have joined, the process-wide delivery counter
-// moved by exactly the sum of every ring's sink deliveries.
+// It also pins the registry-exactness guarantee at federation scale: once
+// run_epochs returns (every worker has reported done), the process-wide
+// delivery counter moved by exactly the sum of every ring's sink
+// deliveries.
 #include <cstdint>
 #include <vector>
 
@@ -75,8 +78,10 @@ TEST(FederationDeterminismTest, RegistryCountsExactAfterJoin) {
   for (std::uint32_t r = 0; r < federation.ring_count(); ++r) {
     sink_total += federation.ring_engine(r).stats().sink.total_delivered();
   }
-  // run_slots() publishes every engine's counters at return, so after the
-  // final epoch barrier the shared counter is exact, not advisory.
+  // run_slots() publishes every engine's counters at return, and each
+  // worker's release decrement of "done" is acquired by run_epochs before
+  // it returns, so the shared counter is exact here, not advisory — even
+  // though the pool threads are still alive.
   EXPECT_EQ(registry.counter(delivery_counter) - before, sink_total);
 }
 
