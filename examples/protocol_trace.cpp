@@ -1,5 +1,5 @@
 // Protocol trace walkthrough: script a short stormy session with the
-// Scenario DSL, then print the engine's causal event trace and digests —
+// Scenario DSL, then print the journal's protocol timeline and digests —
 // the debugging workflow for anyone extending the protocol.
 //
 //   $ build/examples/protocol_trace
@@ -7,6 +7,7 @@
 
 #include "analysis/bounds.hpp"
 #include "phy/topology.hpp"
+#include "telemetry/journal.hpp"
 #include "wrtring/engine.hpp"
 #include "wrtring/report.hpp"
 #include "wrtring/scenario.hpp"
@@ -20,6 +21,10 @@ int main() {
   config.rap_policy = wrtring::RapPolicy::kRotating;
   config.auto_rejoin = true;
   wrtring::Engine engine(&topology, config, 33);
+  // Sized so the 21k-slot session never wraps a station's ring; attached
+  // before init() so the timeline opens with the first SAT launch.
+  telemetry::Journal journal(/*capacity_per_station=*/1 << 15);
+  engine.set_journal(&journal);
   if (!engine.init().ok()) return 1;
   for (NodeId n = 0; n < 8; ++n) {
     traffic::FlowSpec spec;
@@ -54,10 +59,16 @@ int main() {
 
   // The RAP fires every round (that is its job), so filter it out of the
   // printout to surface the interesting transitions.
-  std::cout << "\n--- protocol event trace (RAP starts elided) ---\n";
-  for (const auto& event : engine.event_trace().events()) {
-    if (event.kind == sim::EventKind::kRapStarted) continue;
-    std::cout << "  " << event.to_line() << '\n';
+  std::cout << "\n--- protocol timeline (RAP starts elided; "
+            << journal.total_dropped() << " records dropped) ---\n";
+  for (const auto& [station, event] : journal.timeline()) {
+    if (!telemetry::is_protocol_event(event.kind) ||
+        event.kind == telemetry::JournalKind::kRapStart) {
+      continue;
+    }
+    std::cout << "  [" << ticks_to_slots(event.tick) << "] "
+              << telemetry::to_string(event.kind) << " station=" << station
+              << " arg=" << event.arg << '\n';
   }
 
   std::cout << '\n';

@@ -8,8 +8,8 @@
 //    with explicit bucket edges; stable schema for dashboards and scripts.
 //  * CSV — `metric,value` rows for spreadsheet-grade consumers.
 //
-// All exporters format from immutable inputs (RegistrySnapshot, Journal,
-// sim::EventTrace) so exporting never perturbs a running engine.
+// All exporters format from immutable inputs (RegistrySnapshot, Journal)
+// so exporting never perturbs a running engine.
 #pragma once
 
 #include <iosfwd>

@@ -9,6 +9,7 @@ namespace wrt::telemetry {
 namespace {
 constexpr char kMagic[8] = {'W', 'R', 'T', 'J', 'R', 'N', 'L', '1'};
 constexpr std::uint32_t kVersion = 1;
+constexpr const char* kUnknownKind = "unknown";
 }  // namespace
 
 const char* to_string(JournalKind kind) noexcept {
@@ -23,13 +24,35 @@ const char* to_string(JournalKind kind) noexcept {
     case JournalKind::kSatRecStart: return "sat-rec-start";
     case JournalKind::kSatRecDone: return "sat-rec-done";
     case JournalKind::kQueueDepth: return "queue-depth";
-    case JournalKind::kSnapshot: return "snapshot";
     case JournalKind::kStall: return "stall";
     case JournalKind::kResume: return "resume";
     case JournalKind::kControlLost: return "control-lost";
     case JournalKind::kRebuildDrop: return "rebuild-drop";
+    case JournalKind::kSatLaunched: return "sat-launched";
+    case JournalKind::kSatLost: return "sat-lost";
+    case JournalKind::kRebuildStart: return "rebuild-start";
+    case JournalKind::kRebuildDone: return "rebuild-done";
+    case JournalKind::kRapStart: return "rap-start";
+    case JournalKind::kJoinRejected: return "join-rejected";
+    case JournalKind::kTokenLost: return "token-lost";
+    case JournalKind::kClaimStart: return "claim-start";
+    case JournalKind::kClaimDone: return "claim-done";
+    case JournalKind::kTreeRebuilt: return "tree-rebuilt";
   }
-  return "unknown";
+  return kUnknownKind;
+}
+
+bool is_protocol_event(JournalKind kind) noexcept {
+  switch (kind) {
+    case JournalKind::kSatArrive:
+    case JournalKind::kSatRelease:
+    case JournalKind::kTransmit:
+    case JournalKind::kDeliver:
+    case JournalKind::kQueueDepth:
+      return false;
+    default:
+      return true;
+  }
 }
 
 Journal::Journal(std::size_t capacity_per_station)
@@ -84,6 +107,22 @@ std::vector<JournalEvent> Journal::events(NodeId station) const {
   result.assign(head, ring->slots.end());
   result.insert(result.end(), ring->slots.begin(), head);
   return result;
+}
+
+std::vector<StationEvent> Journal::timeline() const {
+  std::vector<StationEvent> merged;
+  for (const StationRing& ring : rings_) {  // ascending station id
+    if (ring.station == kInvalidNode) continue;
+    for (const JournalEvent& event : events(ring.station)) {
+      merged.push_back({ring.station, event});
+    }
+  }
+  // Stable, so equal ticks keep the station-then-record fill order.
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const StationEvent& a, const StationEvent& b) {
+                     return a.event.tick < b.event.tick;
+                   });
+  return merged;
 }
 
 std::uint64_t Journal::dropped(NodeId station) const noexcept {
@@ -212,6 +251,9 @@ util::Result<Journal> Journal::load(const std::string& path) {
   if (!read_pod(in, ring_count) || !fits(ring_count, kRingHeaderBytes)) {
     return util::Error::invalid_argument("journal load: corrupt ring table");
   }
+  // record() keeps total_ == sum of (surviving + dropped) over the rings.
+  constexpr std::uint64_t kMaxTotal = ~std::uint64_t{0};
+  std::uint64_t recorded = 0;
   for (std::uint32_t r = 0; r < ring_count; ++r) {
     NodeId station = kInvalidNode;
     std::uint64_t dropped = 0;
@@ -225,6 +267,14 @@ util::Result<Journal> Journal::load(const std::string& path) {
       return util::Error::invalid_argument(
           "journal load: station id out of range");
     }
+    if (journal.find_ring(station) != nullptr) {
+      return util::Error::invalid_argument(
+          "journal load: station listed twice");
+    }
+    if (dropped > kMaxTotal - count || recorded > kMaxTotal - count - dropped) {
+      return util::Error::invalid_argument("journal load: corrupt ring");
+    }
+    recorded += count + dropped;
     StationRing& ring = journal.ring_for(station);
     ring.dropped = dropped;
     ring.slots.resize(static_cast<std::size_t>(count));
@@ -232,7 +282,17 @@ util::Result<Journal> Journal::load(const std::string& path) {
       if (!read_pod(in, event)) {
         return util::Error::invalid_argument("journal load: truncated ring");
       }
+      // The kind is raw file bytes: only an enumerator to_string names
+      // (its switch covers every one) is a record save() could write.
+      if (std::strcmp(to_string(event.kind), kUnknownKind) == 0 ||
+          event.reserved != 0) {
+        return util::Error::invalid_argument("journal load: corrupt record");
+      }
     }
+  }
+  if (recorded != total) {
+    return util::Error::invalid_argument(
+        "journal load: header total does not match the rings");
   }
   return journal;
 }

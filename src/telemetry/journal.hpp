@@ -8,10 +8,21 @@
 // another station's events.  Overwritten records are counted per ring and
 // surfaced by every exporter.
 //
-// The journal is opt-in: engines take a Journal* and skip every record call
-// when none is attached, which is why the always-on telemetry budget is the
-// registry's counters alone.  save()/load() round-trip the rings plus the
-// RingMeta needed to evaluate the paper's bounds offline (tools/wrt_report).
+// The journal is the engines' only record of protocol events: each protocol
+// moment (SAT loss, SAT_REC, cut-out, join, re-formation, TPT claim, ...) is
+// one record, and timeline() gives the ordered cross-station view that tests
+// and examples read.  It is opt-in: engines take a Journal* and skip every
+// record call when none is attached, which is why the always-on telemetry
+// budget is the registry's counters alone.  save()/load() round-trip the
+// rings plus the RingMeta needed to evaluate the paper's bounds offline
+// (tools/wrt_report).
+//
+// Events that concern the whole ring rather than one station are filed at
+// one fixed station, so each leaves exactly one record:
+//  * kRebuildStart and kRebuildDrop at the old ring's first station (TPT:
+//    the old tree's root);
+//  * kRebuildDone and kTreeRebuilt at the station the new SAT or token
+//    launches from.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +35,8 @@
 
 namespace wrt::telemetry {
 
-/// What happened.  Kept separate from sim::EventKind because journal kinds
-/// include per-slot data-plane moments the bounded protocol trace never
-/// records (transmit, delivery, queue samples).
+/// What happened.  The numbers are the on-disk encoding: kinds are only
+/// ever appended, so a journal written by an older build still loads.
 enum class JournalKind : std::uint16_t {
   kSatArrive = 0,   ///< SAT reached this station
   kSatRelease,      ///< SAT forwarded downstream (arg = next station)
@@ -36,17 +46,34 @@ enum class JournalKind : std::uint16_t {
   kJoin,            ///< this station entered the ring (arg = ingress)
   kLeave,           ///< graceful leave completed (arg = leaver)
   kCutOut,          ///< this station was cut out (arg = SAT_REC origin)
-  kSatRecStart,     ///< this station generated a SAT_REC (arg = suspect)
+  kSatRecStart,     ///< SAT_TIMER expired here; this station generated a
+                    ///<   SAT_REC (arg = suspect predecessor)
   kSatRecDone,      ///< SAT_REC returned here; ring re-established
   kQueueDepth,      ///< periodic sample (value = packets queued)
-  kSnapshot,        ///< periodic registry snapshot taken at this tick
-  kStall,           ///< this station wedged (fault plane)
+  // 10 is reserved: it was a registry-snapshot kind nothing ever produced,
+  // and load() rejects it.
+  kStall = 11,      ///< this station wedged (fault plane)
   kResume,          ///< this station un-wedged
   kControlLost,     ///< lost JOIN_REQ/JOIN_ACK (arg = attempt number)
   kRebuildDrop,     ///< teardown discarded in-flight frames (arg = count)
+  kSatLaunched,     ///< a fresh SAT was launched from this station
+  kSatLost,         ///< the SAT died leaving this station (arg = target)
+  kRebuildStart,    ///< ring re-formation started
+  kRebuildDone,     ///< ring re-formed (arg = new ring size)
+  kRapStart,        ///< this station opened a RAP as ingress
+  kJoinRejected,    ///< this joiner was refused or gave up (arg = ingress)
+  kTokenLost,       ///< TPT: the token died leaving this station
+                    ///<   (arg = target)
+  kClaimStart,      ///< TPT: token timer expired here; claim token issued
+  kClaimDone,       ///< TPT: the claim returned here; tree kept
+  kTreeRebuilt,     ///< TPT: tree rebuilt (arg = new tree size)
 };
 
 [[nodiscard]] const char* to_string(JournalKind kind) noexcept;
+
+/// False for the per-slot data-plane kinds (SAT arrive/release, transmit,
+/// deliver, queue samples), true for every protocol event.
+[[nodiscard]] bool is_protocol_event(JournalKind kind) noexcept;
 
 /// One fixed-width record.  POD on purpose: save()/load() move these as raw
 /// bytes and the append path is a struct store.
@@ -58,6 +85,12 @@ struct JournalEvent {
   std::uint32_t arg = 0;       ///< kind-specific peer station / class
 };
 static_assert(sizeof(JournalEvent) == 24, "journal record layout drifted");
+
+/// One record of the merged timeline, tagged with the station that holds it.
+struct StationEvent {
+  NodeId station = kInvalidNode;
+  JournalEvent event;
+};
 
 /// Ring parameters embedded in the journal file so offline analysis can
 /// evaluate the Theorem 1/2 bounds without the live engine.
@@ -92,6 +125,11 @@ class WRT_SHARD_CONFINED Journal {
   /// `station`'s surviving records, oldest first (unwrapped copy).
   [[nodiscard]] std::vector<JournalEvent> events(NodeId station) const;
 
+  /// Every station's surviving records in one sequence ordered by tick.
+  /// Equal ticks go to the lower station id first, and each station's
+  /// records keep their ring order (engines append in tick order).
+  [[nodiscard]] std::vector<StationEvent> timeline() const;
+
   /// Records overwritten out of `station`'s ring.
   [[nodiscard]] std::uint64_t dropped(NodeId station) const noexcept;
 
@@ -110,7 +148,10 @@ class WRT_SHARD_CONFINED Journal {
   [[nodiscard]] util::Status save(const std::string& path) const;
   /// Every count in the file is checked against the bytes left to read and
   /// every station id against kMaxLoadStations, so a corrupt or crafted
-  /// file returns an error instead of allocating without bound.
+  /// file returns an error instead of allocating without bound.  A record
+  /// with an unknown kind or a non-zero reserved field, a station listed
+  /// twice, or a header total other than the rings' surviving + dropped
+  /// records is rejected too: save() never writes any of them.
   [[nodiscard]] static util::Result<Journal> load(const std::string& path);
 
   /// Largest station id load() accepts, plus one.  Station ids index

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "telemetry/metrics.hpp"
-#include "util/log.hpp"
 
 namespace wrt::tpt {
 
@@ -348,13 +347,13 @@ void TptEngine::pass_token() {
     drop_token_pending_ = false;
     state_ = TokenState::kLost;
     token_lost_at_ = now_;
-    trace_.record(sim::EventKind::kTokenLost, now_, from, to);
+    journal_record(from, telemetry::JournalKind::kTokenLost, to);
     return;
   }
   if (!topology_->reachable(from, to)) {
     state_ = TokenState::kLost;
     if (token_lost_at_ == kNeverTick) token_lost_at_ = now_;
-    trace_.record(sim::EventKind::kTokenLost, now_, from, to);
+    journal_record(from, telemetry::JournalKind::kTokenLost, to);
     return;
   }
   // A token hop faded by the channel is a lost token: nobody holds it and
@@ -364,7 +363,7 @@ void TptEngine::pass_token() {
     ++stats_.token_channel_losses;
     state_ = TokenState::kLost;
     token_lost_at_ = now_;
-    trace_.record(sim::EventKind::kTokenLost, now_, from, to);
+    journal_record(from, telemetry::JournalKind::kTokenLost, to);
     return;
   }
   state_ = TokenState::kInTransit;
@@ -409,7 +408,7 @@ void TptEngine::token_step() {
       if (claim_hops_remaining_ == 0) {
         // Claim returned to its origin: the tree is still valid.
         ++stats_.claims_succeeded;
-        trace_.record(sim::EventKind::kClaimSucceeded, now_, claim_origin_);
+        journal_record(claim_origin_, telemetry::JournalKind::kClaimDone);
         if (token_lost_at_ != kNeverTick) {
           stats_.recovery_total_slots.add(
               ticks_to_slots_real(now_ - token_lost_at_));
@@ -466,9 +465,7 @@ void TptEngine::check_timers() {
 }
 
 void TptEngine::start_claim(NodeId detector) {
-  trace_.record(sim::EventKind::kClaimStarted, now_, detector);
-  util::log(util::LogLevel::kInfo,
-            "TPT: token loss detected by station " + std::to_string(detector));
+  journal_record(detector, telemetry::JournalKind::kClaimStart);
   // The claim token re-walks the full tour from the detector's position.
   claim_origin_ = detector;
   claim_index_ = 0;
@@ -487,7 +484,7 @@ void TptEngine::start_claim(NodeId detector) {
 
 void TptEngine::start_rebuild() {
   ++stats_.tree_rebuilds;
-  util::log(util::LogLevel::kInfo, "TPT: tree rebuild started");
+  journal_record(tree_.root(), telemetry::JournalKind::kRebuildStart);
   state_ = TokenState::kRebuilding;
   claim_deadline_ = kNeverTick;
   std::int64_t alive = 0;
@@ -534,9 +531,8 @@ void TptEngine::finish_rebuild() {
     stats_.recovery_total_slots.add(
         ticks_to_slots_real(now_ - token_lost_at_));
   }
-  util::log(util::LogLevel::kInfo,
-            "TPT: tree rebuilt, size " + std::to_string(tree_.size()));
-  trace_.record(sim::EventKind::kTreeRebuilt, now_);
+  journal_record(root, telemetry::JournalKind::kTreeRebuilt,
+                 static_cast<std::uint32_t>(tree_.size()));
   launch_token();
 }
 

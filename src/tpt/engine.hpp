@@ -34,8 +34,8 @@
 #include "analysis/bounds.hpp"
 #include "fault/gilbert_elliott.hpp"
 #include "phy/topology.hpp"
-#include "sim/event_trace.hpp"
 #include "sim/stats.hpp"
+#include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
 #include "tpt/tree.hpp"
 #include "traffic/trace.hpp"
@@ -130,9 +130,12 @@ class TptEngine final {
 
   [[nodiscard]] const TptStats& stats() const noexcept { return stats_; }
 
-  /// Ordered protocol events (token losses, claims, rebuilds, ...).
-  [[nodiscard]] const sim::EventTrace& event_trace() const noexcept {
-    return trace_;
+  /// Attaches a telemetry event journal (nullptr detaches).  While attached
+  /// the engine records token losses, claims and tree rebuilds.
+  /// Observation only, and one pointer test per event when detached.  The
+  /// journal must outlive the engine or be detached.
+  void set_journal(telemetry::Journal* journal) noexcept {
+    journal_ = journal;
   }
   [[nodiscard]] const Tree& tree() const noexcept { return tree_; }
   [[nodiscard]] TokenState token_state() const noexcept { return state_; }
@@ -168,6 +171,11 @@ class TptEngine final {
   void launch_token();
   void open_rap(NodeId at);
   void finish_rap();
+  /// Journal append guarded by attachment; one pointer test when detached.
+  void journal_record(NodeId station, telemetry::JournalKind kind,
+                      std::uint32_t arg = 0) {
+    if (journal_ != nullptr) journal_->record(station, kind, now_, arg);
+  }
 
   phy::Topology* topology_;
   TptConfig config_;
@@ -224,7 +232,7 @@ class TptEngine final {
   bool drop_token_pending_ = false;
 
   TptStats stats_;
-  sim::EventTrace trace_;
+  telemetry::Journal* journal_ = nullptr;  ///< opt-in; see set_journal
 
 #if WRT_TELEMETRY_LEVEL
   // Publishes the tpt_* registry counters from stats_ at run_slots()

@@ -48,23 +48,13 @@
 #define WRT_REQUIRES(...) \
   WRT_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
 
-/// Function requires the listed capabilities held shared on entry.
-#define WRT_REQUIRES_SHARED(...) \
-  WRT_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
-
 /// Function acquires the listed capabilities and does not release them.
 #define WRT_ACQUIRE(...) \
   WRT_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
 
-#define WRT_ACQUIRE_SHARED(...) \
-  WRT_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
-
 /// Function releases the listed capabilities (which must be held on entry).
 #define WRT_RELEASE(...) \
   WRT_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-
-#define WRT_RELEASE_SHARED(...) \
-  WRT_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 
 /// Function must NOT be called with the listed capabilities held
 /// (deadlock-by-reentry guard).
@@ -73,9 +63,6 @@
 /// Function acquires the capability iff it returns `result`.
 #define WRT_TRY_ACQUIRE(result, ...) \
   WRT_THREAD_ANNOTATION_(try_acquire_capability(result, __VA_ARGS__))
-
-/// Function returns a reference to the named capability.
-#define WRT_RETURN_CAPABILITY(x) WRT_THREAD_ANNOTATION_(lock_returned(x))
 
 /// Escape hatch: the analysis is wrong or intentionally bypassed here; a
 /// comment explaining why is mandatory at every use site.

@@ -7,7 +7,6 @@
 
 #include "telemetry/metrics.hpp"
 #include "util/audit.hpp"
-#include "util/log.hpp"
 
 namespace wrt::wrtring {
 
@@ -861,7 +860,7 @@ void Engine::launch_sat(NodeId at) {
   sat_location_ = at;
   sat_lost_at_ = kNeverTick;
   for (Tick& arrival : kernel_.last_sat_arrival_) arrival = now_;
-  trace_.record(sim::EventKind::kSatLaunched, now_, at);
+  journal_record(at, telemetry::JournalKind::kSatLaunched);
   sat_arrive(at);
 }
 
@@ -903,8 +902,6 @@ void Engine::sat_arrive(NodeId at) {
     if (sat_.graceful_leave) {
       ++stats_.leaves_completed;
       journal_record(at, telemetry::JournalKind::kLeave, sat_.rec_failed);
-      trace_.record(sim::EventKind::kLeaveCompleted, now_, at,
-                    sat_.rec_failed);
     } else {
       ++stats_.sat_recoveries;
       if (sat_lost_at_ != kNeverTick) {
@@ -912,7 +909,6 @@ void Engine::sat_arrive(NodeId at) {
         stats_.recovery_total_slots.add(rec);
         WRT_OBSERVE(kSatRecSlots, rec);
       }
-      trace_.record(sim::EventKind::kRecovered, now_, at, sat_.rec_failed);
     }
     journal_record(at, telemetry::JournalKind::kSatRecDone, sat_.rec_failed);
     fsm_.on_recovery_complete(now_, sat_lost_at_ != kNeverTick
@@ -1001,7 +997,6 @@ void Engine::sat_release(NodeId from) {
         stats_.recovery_total_slots.add(rec);
         WRT_OBSERVE(kSatRecSlots, rec);
       }
-      trace_.record(sim::EventKind::kRecovered, now_, from, sat_.rec_failed);
       journal_record(from, telemetry::JournalKind::kSatRecDone,
                      sat_.rec_failed);
       fsm_.on_recovery_complete(
@@ -1036,13 +1031,10 @@ void Engine::sat_release(NodeId from) {
       if (rotation_anchor_ == failed) rotation_anchor_ = beyond;
       target = beyond;
       rerouted = true;
-      util::log(util::LogLevel::kInfo,
-                "WRT-Ring: cut out station " + std::to_string(failed));
       ++stats_.cut_outs;
       if (spurious) ++stats_.spurious_cutouts;
       journal_record(failed, telemetry::JournalKind::kCutOut,
                      sat_.rec_origin);
-      trace_.record(sim::EventKind::kCutOut, now_, from, failed);
       if (membership_callback_) membership_callback_(failed, false);
       notify_audit(sat_.graceful_leave ? "leave" : "cut-out");
       // A station cut out by a SAT_REC re-enters through the normal join
@@ -1067,7 +1059,7 @@ void Engine::sat_release(NodeId from) {
     drop_sat_pending_ = false;
     sat_state_ = SatState::kLost;
     sat_lost_at_ = now_;
-    trace_.record(sim::EventKind::kSatLost, now_, from, target);
+    journal_record(from, telemetry::JournalKind::kSatLost, target);
     return;
   }
   // The un-rerouted handoff is exactly the cached ring-successor hop; a
@@ -1086,7 +1078,7 @@ void Engine::sat_release(NodeId from) {
        link_loss_.offer(fault::LossPurpose::kSat, from, target))) {
     sat_state_ = SatState::kLost;
     if (sat_lost_at_ == kNeverTick) sat_lost_at_ = now_;
-    trace_.record(sim::EventKind::kSatLost, now_, from, target);
+    journal_record(from, telemetry::JournalKind::kSatLost, target);
     return;
   }
   sat_state_ = SatState::kInTransit;
@@ -1190,16 +1182,11 @@ void Engine::start_recovery(NodeId detector) {
   ++stats_.sat_losses_detected;
   journal_record(detector, telemetry::JournalKind::kSatRecStart,
                  ring_.predecessor(detector));
-  trace_.record(sim::EventKind::kLossDetected, now_, detector,
-                ring_.predecessor(detector));
   if (sat_lost_at_ != kNeverTick) {
     stats_.sat_loss_detection_slots.add(
         ticks_to_slots_real(now_ - sat_lost_at_));
     WRT_OBSERVE(kSatDetectSlots, ticks_to_slots(now_ - sat_lost_at_));
   }
-  util::log(util::LogLevel::kInfo,
-            "WRT-Ring: SAT loss detected by station " +
-                std::to_string(detector));
   // Section 2.5: the detector generates SAT_REC naming its predecessor as
   // the (supposedly) failed station.
   sat_.is_rec = true;
@@ -1210,8 +1197,6 @@ void Engine::start_recovery(NodeId detector) {
   rec_deadline_ = now_ + slots_to_ticks(effective_sat_timeout(detector));
   kernel_.last_sat_arrival_[static_cast<std::size_t>(
       ring_.position_of(detector))] = now_;
-  trace_.record(sim::EventKind::kSatRecStarted, now_, detector,
-                sat_.rec_failed);
   sat_state_ = SatState::kHeld;
   sat_location_ = detector;
   // The detector itself gets a fresh round and forwards the SAT_REC.
@@ -1239,8 +1224,7 @@ void Engine::drop_in_flight_frames(TeardownCause cause) {
 
 void Engine::start_rebuild() {
   ++stats_.ring_rebuilds;
-  trace_.record(sim::EventKind::kRebuildStarted, now_);
-  util::log(util::LogLevel::kInfo, "WRT-Ring: ring re-formation started");
+  journal_record(ring_.station_at(0), telemetry::JournalKind::kRebuildStart);
   drop_in_flight_frames();
   sat_state_ = SatState::kRebuilding;
   sat_.is_rec = false;
@@ -1329,9 +1313,8 @@ void Engine::finish_rebuild() {
                                      ? ticks_to_slots_real(now_ -
                                                            sat_lost_at_)
                                      : -1.0);
-  util::log(util::LogLevel::kInfo, "WRT-Ring: ring re-formed, size " +
-                                       std::to_string(ring_.size()));
-  trace_.record(sim::EventKind::kRebuildCompleted, now_);
+  journal_record(ring_.station_at(0), telemetry::JournalKind::kRebuildDone,
+                 static_cast<std::uint32_t>(ring_.size()));
   launch_sat(ring_.station_at(0));
   notify_audit("rebuild");
 }
@@ -1469,7 +1452,6 @@ void Engine::stall_station(NodeId node) {
   stalled_[node] = 1;
   ++stall_epoch_;
   journal_record(node, telemetry::JournalKind::kStall);
-  trace_.record(sim::EventKind::kStationStalled, now_, node);
   // A wedged holder takes the SAT down with it, exactly like a crash —
   // except the station is still topologically present and may come back.
   if (sat_location_ == node &&
@@ -1484,7 +1466,6 @@ void Engine::resume_station(NodeId node) {
   stalled_[node] = 0;
   ++stall_epoch_;
   journal_record(node, telemetry::JournalKind::kResume);
-  trace_.record(sim::EventKind::kStationResumed, now_, node);
   const std::int32_t position = station_position(node);
   if (position >= 0) {
     // Still a member: its SAT_TIMER slept through the wedge and would fire
@@ -1526,7 +1507,7 @@ std::uint64_t Engine::frames_in_flight() const noexcept {
 
 void Engine::begin_rap(NodeId ingress) {
   ++stats_.raps_started;
-  trace_.record(sim::EventKind::kRapStarted, now_, ingress);
+  journal_record(ingress, telemetry::JournalKind::kRapStart);
   rap_ingress_ = ingress;
   rap_ear_end_ = now_ + slots_to_ticks(config_.t_ear_slots);
   rap_end_ = now_ + slots_to_ticks(config_.t_rap_slots());
@@ -1607,7 +1588,7 @@ void Engine::begin_rap(NodeId ingress) {
   // Slot 2: admission check + JOIN_ACK on code(ingress).
   if (!admission_allows(join.quota)) {
     ++stats_.joins_rejected;
-    trace_.record(sim::EventKind::kJoinRejected, now_, joiner, ingress);
+    journal_record(joiner, telemetry::JournalKind::kJoinRejected, ingress);
     pending_joins_.erase(joiner);
     return;
   }
@@ -1632,7 +1613,8 @@ void Engine::register_join_backoff(NodeId joiner) {
   journal_record(joiner, telemetry::JournalKind::kControlLost, join.attempts);
   if (join.attempts >= config_.join_max_attempts) {
     ++stats_.joins_abandoned;
-    trace_.record(sim::EventKind::kJoinRejected, now_, joiner, rap_ingress_);
+    journal_record(joiner, telemetry::JournalKind::kJoinRejected,
+                   rap_ingress_);
     pending_joins_.erase(it);
     return;
   }
@@ -1715,10 +1697,6 @@ void Engine::complete_join(NodeId joiner, NodeId ingress) {
   stats_.join_latency_slots.add(join_latency);
   WRT_OBSERVE(kJoinLatencySlots, join_latency);
   journal_record(joiner, telemetry::JournalKind::kJoin, ingress);
-  util::log(util::LogLevel::kInfo,
-            "WRT-Ring: station " + std::to_string(joiner) +
-                " joined after ingress " + std::to_string(ingress));
-  trace_.record(sim::EventKind::kJoinCompleted, now_, joiner, ingress);
   if (membership_callback_) membership_callback_(joiner, true);
   notify_audit("join");
 }

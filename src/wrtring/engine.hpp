@@ -50,7 +50,6 @@
 #include "phy/topology.hpp"
 #include "ring/frame.hpp"
 #include "ring/virtual_ring.hpp"
-#include "sim/event_trace.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
@@ -329,15 +328,10 @@ class WRT_SHARD_CONFINED Engine final {
 
   [[nodiscard]] const cdma::CodeMap& codes() const noexcept { return codes_; }
 
-  /// Ordered protocol events (SAT losses, detections, cut-outs, joins, ...)
-  /// in a bounded ring buffer; see sim::EventTrace.
-  [[nodiscard]] const sim::EventTrace& event_trace() const noexcept {
-    return trace_;
-  }
-
   /// Attaches a telemetry event journal (nullptr detaches).  While attached
-  /// the engine records SAT residency, transmissions, deliveries, and
-  /// membership churn into per-station rings, and — when
+  /// the engine records every protocol event (SAT launch and loss, SAT_REC,
+  /// cut-outs, re-formation, RAPs, joins, leaves, stalls), SAT residency,
+  /// transmissions and deliveries into per-station rings, and — when
   /// `queue_sample_every_slots` > 0 — samples every station's queue depth on
   /// that cadence.  Observation only: attaching a journal never changes
   /// protocol behaviour, and with no journal attached the per-event cost is
@@ -669,7 +663,6 @@ class WRT_SHARD_CONFINED Engine final {
   std::unique_ptr<cdma::Channel<traffic::Packet>> channel_;
 
   EngineStats stats_;
-  sim::EventTrace trace_;
 
   // Telemetry journal (opt-in; see set_journal).
   telemetry::Journal* journal_ = nullptr;

@@ -84,6 +84,8 @@ TEST(LintSelftest, EveryRuleFiresOnItsBadFixtureAndOnlyThere) {
       "unguarded-shared-field/bad.hpp:9:unguarded-shared-field",
       "recovery-side-effect/bad/wrtring/watchdog.cpp:11:recovery-side-effect",
       "recovery-side-effect/bad/wrtring/watchdog.cpp:13:recovery-side-effect",
+      "one-event-sink/bad/wrtring/engine.cpp:17:one-event-sink",
+      "one-event-sink/bad/wrtring/engine.cpp:18:one-event-sink",
       "lint-suppression/bad.cpp:3:lint-suppression",
   };
   EXPECT_EQ(parse_findings(result.output), expected) << result.output;
@@ -101,7 +103,8 @@ TEST(LintSelftest, SuppressedFixturesAloneAreClean) {
       fixture("mutable-global-state/suppressed.cpp") + " " +
       fixture("cross-shard-handle/suppressed") + " " +
       fixture("unguarded-shared-field/suppressed.hpp") + " " +
-      fixture("recovery-side-effect/suppressed");
+      fixture("recovery-side-effect/suppressed") + " " +
+      fixture("one-event-sink/suppressed");
   const RunResult result = run_lint(roots);
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("clean"), std::string::npos) << result.output;
@@ -115,9 +118,9 @@ TEST(LintSelftest, ListSuppressionsInventoriesJustifications) {
   EXPECT_NE(result.output.find("unknown rule 'no-such-rule'"),
             std::string::npos)
       << result.output;
-  // ...while the 11 legitimate suppressions are inventoried with their
+  // ...while the 12 legitimate suppressions are inventoried with their
   // scope tag and justification text.
-  EXPECT_NE(result.output.find("11 active suppression(s)"), std::string::npos)
+  EXPECT_NE(result.output.find("12 active suppression(s)"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find(
                 "[file] hot-path-assoc: fixture — cold lookup table"),
@@ -145,7 +148,7 @@ TEST(LintSelftest, ListRulesNamesAllRules) {
        {"hot-path-assoc", "by-value-frame-param", "stale-include",
         "missing-nodiscard", "kernel-aos-access", "mutable-global-state",
         "cross-shard-handle", "unguarded-shared-field",
-        "recovery-side-effect"}) {
+        "recovery-side-effect", "one-event-sink"}) {
     EXPECT_NE(result.output.find(rule), std::string::npos) << rule;
   }
 }

@@ -69,12 +69,68 @@ TEST(Journal, OverloadedStationCannotEvictAnother) {
 }
 
 TEST(Journal, ClearDropsEverythingButKeepsCapacity) {
-  Journal journal(8);
-  journal.record(1, JournalKind::kJoin, 10);
+  Journal journal(2);
+  for (int i = 0; i < 3; ++i) journal.record(1, JournalKind::kJoin, 10 + i);
+  ASSERT_EQ(journal.total_dropped(), 1u);
   journal.clear();
   EXPECT_TRUE(journal.stations().empty());
+  EXPECT_TRUE(journal.timeline().empty());
   EXPECT_EQ(journal.total_recorded(), 0u);
-  EXPECT_EQ(journal.capacity_per_station(), 8u);
+  EXPECT_EQ(journal.total_dropped(), 0u);
+  EXPECT_EQ(journal.dropped(1), 0u);
+  EXPECT_EQ(journal.capacity_per_station(), 2u);
+}
+
+TEST(Journal, TimelineMergesStationsByTick) {
+  Journal journal;
+  journal.record(5, JournalKind::kSatArrive, 10);
+  journal.record(2, JournalKind::kSatLost, 5, /*arg=*/3);
+  journal.record(5, JournalKind::kSatRelease, 30, /*arg=*/6);
+  journal.record(2, JournalKind::kSatRecStart, 20, /*arg=*/1);
+  const auto timeline = journal.timeline();
+  ASSERT_EQ(timeline.size(), 4u);
+  EXPECT_EQ(timeline[0].station, 2u);
+  EXPECT_EQ(timeline[0].event.kind, JournalKind::kSatLost);
+  EXPECT_EQ(timeline[0].event.arg, 3u);
+  EXPECT_EQ(timeline[1].station, 5u);
+  EXPECT_EQ(timeline[1].event.tick, 10);
+  EXPECT_EQ(timeline[2].station, 2u);
+  EXPECT_EQ(timeline[2].event.kind, JournalKind::kSatRecStart);
+  EXPECT_EQ(timeline[3].station, 5u);
+  EXPECT_EQ(timeline[3].event.tick, 30);
+}
+
+TEST(Journal, TimelineTiesGoToLowerStationThenRecordOrder) {
+  Journal journal;
+  journal.record(7, JournalKind::kCutOut, 10, /*arg=*/1);
+  journal.record(7, JournalKind::kSatRelease, 10, /*arg=*/8);
+  journal.record(3, JournalKind::kSatArrive, 10);  // appended last
+  const auto timeline = journal.timeline();
+  ASSERT_EQ(timeline.size(), 3u);
+  EXPECT_EQ(timeline[0].station, 3u);
+  EXPECT_EQ(timeline[1].station, 7u);
+  EXPECT_EQ(timeline[1].event.kind, JournalKind::kCutOut);
+  EXPECT_EQ(timeline[2].station, 7u);
+  EXPECT_EQ(timeline[2].event.kind, JournalKind::kSatRelease);
+}
+
+TEST(Journal, TimelineOfWrappedRingsHoldsOnlySurvivors) {
+  Journal journal(2);
+  for (int i = 0; i < 5; ++i) {  // ticks 0..4; 0..2 are overwritten
+    journal.record(1, JournalKind::kRapStart, i);
+  }
+  journal.record(0, JournalKind::kJoin, 3);
+  const auto timeline = journal.timeline();
+  ASSERT_EQ(timeline.size(),
+            journal.total_recorded() - journal.total_dropped());
+  ASSERT_EQ(timeline.size(), 3u);
+  EXPECT_EQ(timeline[0].station, 0u);
+  EXPECT_EQ(timeline[0].event.tick, 3);
+  EXPECT_EQ(timeline[1].station, 1u);
+  EXPECT_EQ(timeline[1].event.tick, 3);
+  EXPECT_EQ(timeline[2].station, 1u);
+  EXPECT_EQ(timeline[2].event.tick, 4);
+  EXPECT_EQ(journal.dropped(1), 3u);
 }
 
 TEST(Journal, SaveLoadRoundTripsEventsMetaAndDrops) {
@@ -148,12 +204,17 @@ TEST(Journal, LoadRejectsForeignFile) {
 }
 
 /// A hand-built journal file: one header, no quotas unless asked, and one
-/// ring holding `count` zeroed records.
+/// ring (two with `duplicate_ring`) holding `count` records of raw kind
+/// `kind` with reserved field `reserved`.
 struct CraftedJournal {
   std::uint64_t capacity = 4;
   std::uint32_t quota_count = 0;
   NodeId station = 1;
   std::uint64_t count = 1;
+  std::uint16_t kind = 0;
+  std::uint16_t reserved = 0;
+  bool duplicate_ring = false;   ///< list `station` twice
+  std::uint64_t extra_total = 0; ///< added to the consistent header total
 
   [[nodiscard]] std::string write(const std::string& name) const {
     const std::string path = temp_path(name);
@@ -161,21 +222,36 @@ struct CraftedJournal {
     const auto pod = [&out](const auto& value) {
       out.write(reinterpret_cast<const char*>(&value), sizeof(value));
     };
+    const std::uint32_t rings = duplicate_ring ? 2 : 1;
     out.write("WRTJRNL1", 8);
     pod(std::uint32_t{1});         // version
     pod(capacity);
-    pod(std::uint64_t{count});     // total recorded
+    pod(rings * count + extra_total);  // total recorded
     pod(std::int64_t{32});         // ring latency
     pod(std::int64_t{20});         // T_rap
     pod(quota_count);              // no quota records follow
-    pod(std::uint32_t{1});         // ring count
-    pod(station);
-    pod(std::uint64_t{0});         // dropped
-    pod(count);
-    for (std::uint64_t i = 0; i < count; ++i) pod(JournalEvent{});
+    pod(rings);                    // ring count
+    JournalEvent record{};
+    record.kind = static_cast<JournalKind>(kind);
+    record.reserved = reserved;
+    for (std::uint32_t r = 0; r < rings; ++r) {
+      pod(station);
+      pod(std::uint64_t{0});       // dropped
+      pod(count);
+      for (std::uint64_t i = 0; i < count; ++i) pod(record);
+    }
     return path;
   }
 };
+
+/// Loads `crafted` and expects an invalid_argument rejection.
+void expect_rejected(const CraftedJournal& crafted, const std::string& name) {
+  const std::string path = crafted.write(name);
+  const auto loaded = Journal::load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, util::Error::Code::kInvalidArgument);
+  std::remove(path.c_str());
+}
 
 TEST(Journal, LoadDoesNotAllocateTheDeclaredCapacity) {
   // Capacity is a bound, not a size: a ring holds only the records it has,
@@ -230,10 +306,62 @@ TEST(Journal, LoadRejectsRecordCountBeyondFile) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, LoadRejectsUnknownKind) {
+  CraftedJournal crafted;
+  crafted.kind = 0x7FFF;
+  expect_rejected(crafted, "journal_unknown_kind.jrnl");
+}
+
+TEST(Journal, LoadRejectsRetiredSnapshotKind) {
+  CraftedJournal crafted;
+  crafted.kind = 10;  // reserved: the never-produced snapshot kind
+  expect_rejected(crafted, "journal_snapshot_kind.jrnl");
+}
+
+TEST(Journal, LoadRejectsNonZeroReserved) {
+  CraftedJournal crafted;
+  crafted.reserved = 1;
+  expect_rejected(crafted, "journal_reserved.jrnl");
+}
+
+TEST(Journal, LoadRejectsStationListedTwice) {
+  CraftedJournal crafted;
+  crafted.duplicate_ring = true;  // header total still matches both rings
+  expect_rejected(crafted, "journal_duplicate_station.jrnl");
+}
+
+TEST(Journal, LoadRejectsHeaderTotalMismatch) {
+  CraftedJournal crafted;
+  crafted.extra_total = 1;
+  expect_rejected(crafted, "journal_total_mismatch.jrnl");
+}
+
+TEST(Journal, LoadsParentFormatStallRecord) {
+  // Kinds keep their on-disk numbers: 11 has meant kStall since the first
+  // WRTJRNL1 file.
+  CraftedJournal crafted;
+  crafted.kind = 11;
+  const std::string path = crafted.write("journal_stall.jrnl");
+  const auto loaded = Journal::load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  const auto events = loaded.value().events(crafted.station);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, JournalKind::kStall);
+  std::remove(path.c_str());
+}
+
 TEST(Journal, KindNamesAreClosed) {
-  for (int k = 0; k <= static_cast<int>(JournalKind::kSnapshot); ++k) {
-    EXPECT_STRNE(to_string(static_cast<JournalKind>(k)), "unknown") << k;
+  for (int k = 0; k <= static_cast<int>(JournalKind::kTreeRebuilt); ++k) {
+    const char* name = to_string(static_cast<JournalKind>(k));
+    if (k == 10) {
+      EXPECT_STREQ(name, "unknown");  // reserved, never written
+    } else {
+      EXPECT_STRNE(name, "unknown") << k;
+    }
   }
+  EXPECT_STREQ(to_string(static_cast<JournalKind>(
+                   static_cast<int>(JournalKind::kTreeRebuilt) + 1)),
+               "unknown");
 }
 
 }  // namespace

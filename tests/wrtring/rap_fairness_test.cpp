@@ -1,19 +1,24 @@
 // Section 2.4.1 fairness: "To ensure the fairness, after acting as ingress
 // station, a node has to wait S_round(i) >= N SAT rounds in order to enter
 // the RAP period again" — and the RAP_mutex admits at most one RAP per SAT
-// round.  Verified from the protocol event trace.
+// round.  Verified from the journal's protocol timeline.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "telemetry/journal.hpp"
 #include "tests/wrtring/test_helpers.hpp"
 #include "wrtring/engine.hpp"
 
 namespace wrt::wrtring {
 namespace {
 
-using sim::EventKind;
+using telemetry::JournalKind;
 using testing::Harness;
+using testing::of_kind;
+
+/// Per-station capacity that keeps every record of these runs (no wrap).
+constexpr std::size_t kJournalCapacity = std::size_t{1} << 14;
 
 Config rap_config() {
   Config config;
@@ -24,12 +29,14 @@ Config rap_config() {
 }
 
 TEST(RapFairness, EveryStationGetsIngressTurns) {
-  Harness h(6, rap_config());
+  telemetry::Journal journal(kJournalCapacity);
+  Harness h(6, rap_config(), 1, 2.4, &journal);
   h.engine.run_slots(6000);
+  ASSERT_EQ(journal.total_dropped(), 0u);
   std::map<NodeId, int> raps;
-  for (const auto& event : h.engine.event_trace().of_kind(
-           EventKind::kRapStarted)) {
-    ++raps[event.station];
+  for (const auto& record :
+       of_kind(journal.timeline(), JournalKind::kRapStart)) {
+    ++raps[record.station];
   }
   EXPECT_EQ(raps.size(), 6u) << "every station must act as ingress";
   int min_raps = 1 << 30, max_raps = 0;
@@ -43,11 +50,13 @@ TEST(RapFairness, EveryStationGetsIngressTurns) {
 
 TEST(RapFairness, SRoundSpacingRespected) {
   constexpr std::size_t kN = 8;
-  Harness h(kN, rap_config());
+  telemetry::Journal journal(kJournalCapacity);
+  Harness h(kN, rap_config(), 1, 2.4, &journal);
   h.engine.run_slots(10000);
+  ASSERT_EQ(journal.total_dropped(), 0u);
   // Between two RAPs of the same station, every other station RAPs once:
   // consecutive same-station RAPs are >= N-1 other RAP events apart.
-  const auto raps = h.engine.event_trace().of_kind(EventKind::kRapStarted);
+  const auto raps = of_kind(journal.timeline(), JournalKind::kRapStart);
   ASSERT_GT(raps.size(), 2 * kN);
   std::map<NodeId, std::size_t> last_index;
   for (std::size_t i = 0; i < raps.size(); ++i) {
@@ -71,11 +80,11 @@ TEST(RapFairness, AtMostOneRapPerRound) {
 }
 
 TEST(RapFairness, DisabledPolicyNeverRaps) {
-  Harness h(8, Config{});
+  telemetry::Journal journal;
+  Harness h(8, Config{}, 1, 2.4, &journal);
   h.engine.run_slots(4000);
   EXPECT_EQ(h.engine.stats().raps_started, 0u);
-  EXPECT_TRUE(
-      h.engine.event_trace().of_kind(EventKind::kRapStarted).empty());
+  EXPECT_TRUE(of_kind(journal.timeline(), JournalKind::kRapStart).empty());
 }
 
 /// A 7-node topology ringing only stations 0..5, leaving node 6 as a live

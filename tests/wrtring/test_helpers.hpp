@@ -4,8 +4,10 @@
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <vector>
 
 #include "phy/topology.hpp"
+#include "telemetry/journal.hpp"
 #include "wrtring/engine.hpp"
 
 namespace wrt::wrtring::testing {
@@ -22,10 +24,13 @@ inline phy::Topology circle_topology(std::size_t n,
 }
 
 struct Harness {
+  /// A non-null `journal` is attached before init(), so it also holds the
+  /// initial SAT launch.
   Harness(std::size_t n, Config config, std::uint64_t seed = 1,
-          double range_hops = 2.4)
+          double range_hops = 2.4, telemetry::Journal* journal = nullptr)
       : topology(circle_topology(n, range_hops)),
         engine(&topology, std::move(config), seed) {
+    engine.set_journal(journal);
     const auto status = engine.init();
     if (!status.ok()) {
       throw std::runtime_error("engine init failed: " +
@@ -63,6 +68,31 @@ inline traffic::FlowSpec be_flow(FlowId id, NodeId src, std::size_t n,
   spec.kind = traffic::ArrivalKind::kPoisson;
   spec.rate_per_slot = rate_per_slot;
   return spec;
+}
+
+/// Journal timeline records of one kind, oldest first.
+inline std::vector<telemetry::StationEvent> of_kind(
+    const std::vector<telemetry::StationEvent>& timeline,
+    telemetry::JournalKind kind) {
+  std::vector<telemetry::StationEvent> result;
+  for (const auto& record : timeline) {
+    if (record.event.kind == kind) result.push_back(record);
+  }
+  return result;
+}
+
+/// True iff both kinds occur and the earliest `a` is no later than the
+/// earliest `b`.
+inline bool ordered(const std::vector<telemetry::StationEvent>& timeline,
+                    telemetry::JournalKind a, telemetry::JournalKind b) {
+  const telemetry::StationEvent* first_a = nullptr;
+  const telemetry::StationEvent* first_b = nullptr;
+  for (const auto& record : timeline) {
+    if (first_a == nullptr && record.event.kind == a) first_a = &record;
+    if (first_b == nullptr && record.event.kind == b) first_b = &record;
+  }
+  return first_a != nullptr && first_b != nullptr &&
+         first_a->event.tick <= first_b->event.tick;
 }
 
 }  // namespace wrt::wrtring::testing

@@ -51,6 +51,11 @@
 //                        in wrtring/ bypass the guard window, WTR hold-off,
 //                        and request de-duplication; the FSM's own
 //                        dispatch sites carry justified suppressions.
+//   one-event-sink       The telemetry Journal is the engines' only record
+//                        of protocol events.  In wrtring/engine.cpp and
+//                        tpt/engine.cpp, a util::log call or a journal
+//                        `->record(` outside the engine's journal_record
+//                        helper regrows a parallel event path.
 //
 // Suppressions (a justification is mandatory):
 //   // wrt-lint-allow(<rule>): <reason>        same line or line above
@@ -104,7 +109,7 @@ const std::set<std::string> kRules = {
     "hot-path-assoc",       "by-value-frame-param", "stale-include",
     "missing-nodiscard",    "kernel-aos-access",    "mutable-global-state",
     "cross-shard-handle",   "unguarded-shared-field",
-    "recovery-side-effect"};
+    "recovery-side-effect", "one-event-sink"};
 
 /// Active suppression, for --list-suppressions.
 struct Suppression {
@@ -132,6 +137,10 @@ const std::vector<std::string> kHotPathFiles = {
 // reached through the SlotKernel arrays, never a station-object vector.
 const std::vector<std::string> kKernelFiles = {
     "wrtring/engine.cpp", "wrtring/soa_kernel.hpp", "wrtring/soa_kernel.cpp"};
+
+// Engine files whose protocol events go to the journal and nowhere else.
+const std::vector<std::string> kEventSinkFiles = {"wrtring/engine.cpp",
+                                                  "tpt/engine.cpp"};
 
 // stale-include table: header -> regex proving it is used.  Only headers
 // whose entire API is reliably greppable belong here.
@@ -293,8 +302,9 @@ void report(const SourceFile& file, const std::string& rule,
   }
 }
 
-bool is_hot_path(const std::string& path) {
-  for (const std::string& suffix : kHotPathFiles) {
+bool ends_with_any(const std::string& path,
+                   const std::vector<std::string>& suffixes) {
+  for (const std::string& suffix : suffixes) {
     if (path.size() >= suffix.size() &&
         path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
             0) {
@@ -304,9 +314,21 @@ bool is_hot_path(const std::string& path) {
   return false;
 }
 
+/// Offset of the bracket closing the one at `open` (same kind), or npos.
+std::size_t matching_close(const std::string& code, std::size_t open) {
+  const char opener = code[open];
+  const char closer = opener == '(' ? ')' : '}';
+  int depth = 0;
+  for (std::size_t i = open; i < code.size(); ++i) {
+    if (code[i] == opener) ++depth;
+    if (code[i] == closer && --depth == 0) return i;
+  }
+  return std::string::npos;
+}
+
 void rule_hot_path_assoc(const SourceFile& file,
                          std::vector<Finding>& findings) {
-  if (!is_hot_path(file.path)) return;
+  if (!ends_with_any(file.path, kHotPathFiles)) return;
   static const std::regex kAssoc(
       R"((std::(unordered_)?(multi)?(map|set)\s*<)|(#\s*include\s*<(map|set|unordered_map|unordered_set)>))");
   for (auto it = std::sregex_iterator(file.code.begin(), file.code.end(),
@@ -400,16 +422,7 @@ void rule_missing_nodiscard(const SourceFile& file,
 
 void rule_kernel_aos_access(const SourceFile& file,
                             std::vector<Finding>& findings) {
-  bool kernel = false;
-  for (const std::string& suffix : kKernelFiles) {
-    if (file.path.size() >= suffix.size() &&
-        file.path.compare(file.path.size() - suffix.size(), suffix.size(),
-                          suffix) == 0) {
-      kernel = true;
-      break;
-    }
-  }
-  if (!kernel) return;
+  if (!ends_with_any(file.path, kKernelFiles)) return;
   static const std::regex kAosAccess(R"(\bstations_\s*\[)");
   for (auto it = std::sregex_iterator(file.code.begin(), file.code.end(),
                                       kAosAccess);
@@ -451,6 +464,44 @@ void rule_recovery_side_effect(const SourceFile& file,
                "' call outside RecoveryFsm — recovery decisions must go "
                "through the FSM (guard/WTR/de-dup); justify a suppression "
                "only for the FSM's own dispatch",
+           findings);
+  }
+}
+
+/// one-event-sink: each protocol moment is one journal_record statement.  A
+/// log line or a direct journal append in the engine files is a second,
+/// unsynchronised event path; the helper's own body is the one sanctioned
+/// `->record(` call.
+void rule_one_event_sink(const SourceFile& file,
+                         std::vector<Finding>& findings) {
+  if (!ends_with_any(file.path, kEventSinkFiles)) return;
+  const std::string& code = file.code;
+  // Bodies of journal_record definitions: the parameter list is followed
+  // (past qualifiers) by '{' rather than ';' or an argument-list close.
+  std::vector<std::pair<std::size_t, std::size_t>> helper_bodies;
+  static const std::regex kHelper(R"(\bjournal_record\s*\()");
+  for (auto it = std::sregex_iterator(code.begin(), code.end(), kHelper);
+       it != std::sregex_iterator(); ++it) {
+    const std::size_t open = static_cast<std::size_t>(it->position()) +
+                             static_cast<std::size_t>(it->length()) - 1;
+    const std::size_t close = matching_close(code, open);
+    if (close == std::string::npos) continue;
+    const std::size_t body = code.find_first_of("{;,)", close + 1);
+    if (body == std::string::npos || code[body] != '{') continue;
+    helper_bodies.emplace_back(body, matching_close(code, body));
+  }
+  static const std::regex kSink(R"(\butil\s*::\s*log\s*\(|->\s*record\s*\()");
+  for (auto it = std::sregex_iterator(code.begin(), code.end(), kSink);
+       it != std::sregex_iterator(); ++it) {
+    const auto at = static_cast<std::size_t>(it->position());
+    const bool in_helper = std::any_of(
+        helper_bodies.begin(), helper_bodies.end(),
+        [at](const auto& body) { return at > body.first && at < body.second; });
+    if (in_helper) continue;
+    report(file, "one-event-sink", line_of(code, at),
+           "'" + it->str() +
+               "' in an engine file; record protocol events with one "
+               "journal_record(...) statement, the engine's only event sink",
            findings);
   }
 }
@@ -859,6 +910,7 @@ int main(int argc, char** argv) {
     rule_missing_nodiscard(file, findings);
     rule_kernel_aos_access(file, findings);
     rule_recovery_side_effect(file, findings);
+    rule_one_event_sink(file, findings);
     rule_mutable_global_state(file, findings);
     rule_cross_shard_handle(file, findings);
     rule_unguarded_shared_field(file, context, findings);

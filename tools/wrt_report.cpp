@@ -120,7 +120,16 @@ StationReport analyze_station(const Journal& journal, wrt::NodeId station,
         break;
       case JournalKind::kSatRelease:
       case JournalKind::kQueueDepth:
-      case JournalKind::kSnapshot:
+      case JournalKind::kSatLaunched:
+      case JournalKind::kSatLost:
+      case JournalKind::kRebuildStart:
+      case JournalKind::kRebuildDone:
+      case JournalKind::kRapStart:
+      case JournalKind::kJoinRejected:
+      case JournalKind::kTokenLost:
+      case JournalKind::kClaimStart:
+      case JournalKind::kClaimDone:
+      case JournalKind::kTreeRebuilt:
         break;
     }
   }
