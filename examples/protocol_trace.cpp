@@ -1,11 +1,14 @@
-// Protocol trace walkthrough: script a short stormy session with the
-// Scenario DSL, then print the journal's protocol timeline and digests —
-// the debugging workflow for anyone extending the protocol.
+// Protocol trace walkthrough: script a short stormy session as a FaultPlan,
+// run it with wrtring::run_plan, then print the journal's protocol
+// timeline and digests — the debugging workflow for anyone extending the
+// protocol.
 //
 //   $ build/examples/protocol_trace
 #include <iostream>
+#include <string>
 
 #include "analysis/bounds.hpp"
+#include "fault/fault_plan.hpp"
 #include "phy/topology.hpp"
 #include "telemetry/journal.hpp"
 #include "wrtring/engine.hpp"
@@ -41,15 +44,16 @@ int main() {
   const NodeId newcomer =
       topology.add_node((topology.position(0) + topology.position(1)) * 0.5);
 
-  wrtring::Scenario script;
-  script.mark_at(0, "session start")
-      .drop_sat_at(400)
-      .join_at(1500, newcomer, {1, 1})
-      .kill_at(9000, 5)
-      .leave_at(16000, 2)
-      .mark_at(20000, "session end");
+  const auto script = fault::FaultPlan::parse(
+      "@0 mark session start\n"
+      "@400 drop-sat\n"
+      "@1500 join " + std::to_string(newcomer) + " l=1 k=1\n"
+      "@9000 crash 5\n"
+      "@16000 leave 2\n"
+      "@20000 mark session end\n");
+  if (!script.ok()) return 1;
 
-  const auto log = script.run(engine, topology, 21000);
+  const auto log = wrtring::run_plan(script.value(), engine, topology, 21000);
 
   std::cout << "--- scenario log (scripted + automatic entries) ---\n";
   for (const auto& entry : log) {

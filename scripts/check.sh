@@ -12,8 +12,9 @@
 #                                   # emitted BENCH_*.json schema
 #   scripts/check.sh --chaos-smoke  # build only, then run the fixed 16-seed
 #                                   # wrt_chaos soak (FaultPlan chaos +
-#                                   # recovery-SLO + invariant audit) plus
-#                                   # the flapping-link RecoveryFsm A/B
+#                                   # recovery-SLO + invariant audit), the
+#                                   # --print-plan -> --plan replay gate,
+#                                   # plus the flapping-link RecoveryFsm A/B
 #                                   # matrix (BENCH_recovery_fsm.json)
 #   scripts/check.sh --voice-smoke  # build bench_voice_capacity only, run
 #                                   # the short E16 sweep, validate its JSON
@@ -172,6 +173,27 @@ if [ "$CHAOS_SMOKE" = 1 ]; then
   # must reconverge within the analytic deadline with a clean invariant
   # audit.  Deterministic, so a failure here is a real regression.
   build/tools/wrt_chaos
+
+  echo "== chaos smoke: every printed plan replays through --plan =="
+  # A seed's --print-plan output, fed back through --plan, must reproduce
+  # that seed's --json report byte for byte, so a FaultPlan format or
+  # precision change that breaks replay fails here.
+  PLAN_DIR=build/chaos_plans
+  rm -rf "$PLAN_DIR"
+  mkdir -p "$PLAN_DIR"
+  for seed in $(seq 1 16); do
+    build/tools/wrt_chaos --seeds "$seed" --print-plan |
+      grep '^@' > "$PLAN_DIR/seed$seed.fplan"
+    build/tools/wrt_chaos --seeds "$seed" --json > "$PLAN_DIR/seed$seed.json"
+    build/tools/wrt_chaos --seeds "$seed" --plan "$PLAN_DIR/seed$seed.fplan" \
+      --json > "$PLAN_DIR/replay$seed.json"
+    if ! cmp -s "$PLAN_DIR/seed$seed.json" "$PLAN_DIR/replay$seed.json"; then
+      echo "seed $seed: replaying its printed plan changed the --json report"
+      diff "$PLAN_DIR/seed$seed.json" "$PLAN_DIR/replay$seed.json" || true
+      exit 1
+    fi
+  done
+  echo "16/16 printed plans replay byte-identically"
 
   echo "== chaos smoke: 16-seed flapping-link matrix (RecoveryFsm A/B) =="
   # Every seed's flap-only plan runs twice — all-defaults recovery vs

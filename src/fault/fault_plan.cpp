@@ -1,8 +1,13 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 namespace wrt::fault {
 namespace {
@@ -21,15 +26,38 @@ util::Error parse_error(std::size_t line_no, const std::string& what) {
                                        std::to_string(line_no) + ": " + what);
 }
 
-/// Parses `key=value` tokens like avg=0.2 / dwell=16 / l=1.
-bool split_kv(const std::string& token, std::string& key, std::string& val) {
-  const std::size_t eq = token.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-    return false;
-  }
-  key = token.substr(0, eq);
-  val = token.substr(eq + 1);
+/// Reads a whole token as a number: no sign on unsigned fields, no
+/// trailing characters, nothing out of the type's range, nothing
+/// non-finite.
+template <typename T>
+bool parse_number(std::string_view token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  if (ec != std::errc{} || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(out);
   return true;
+}
+
+/// Reads every remaining token as `key=value`.  `assign(key, value)`
+/// returns nullopt for an unknown key, else whether the value parsed.
+template <typename Assign>
+util::Status read_params(std::istringstream& tokens, std::size_t line_no,
+                         Assign assign) {
+  std::string token;
+  while (tokens >> token) {
+    const std::size_t eq = token.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
+      return parse_error(line_no, "bad parameter '" + token + "'");
+    }
+    const std::string key = token.substr(0, eq);
+    const std::optional<bool> parsed =
+        assign(key, std::string_view(token).substr(eq + 1));
+    if (!parsed) {
+      return parse_error(line_no, "unknown parameter '" + key + "'");
+    }
+    if (!*parsed) return parse_error(line_no, "bad value in '" + token + "'");
+  }
+  return util::Status::success();
 }
 
 }  // namespace
@@ -56,6 +84,60 @@ const char* to_string(FaultKind kind) noexcept {
   return "unknown";
 }
 
+std::string to_text(const FaultEvent& e) {
+  std::ostringstream out;
+  out << to_string(e.kind);
+  switch (e.kind) {
+    case FaultKind::kCrash:
+    case FaultKind::kStall:
+    case FaultKind::kResume:
+    case FaultKind::kLeave:
+    case FaultKind::kForceSwitch:
+    case FaultKind::kClearSwitch:
+      out << ' ' << e.a;
+      break;
+    case FaultKind::kLinkDegrade:
+      out << ' ' << e.a << ' ' << e.b;
+      if (e.ge.enabled()) {
+        out << " avg=" << e.ge.average_loss()
+            << " dwell="
+            << (e.ge.p_bad_to_good > 0.0 ? 1.0 / e.ge.p_bad_to_good : 1.0)
+            << " bad=" << e.ge.loss_bad;
+      } else {
+        // The form that parses back to a disabled (never-losing) override.
+        out << " avg=0 dwell=1 bad=1";
+      }
+      break;
+    case FaultKind::kLinkBreak:
+    case FaultKind::kLinkHeal:
+      out << ' ' << e.a << ' ' << e.b;
+      break;
+    case FaultKind::kPartition:
+      for (std::size_t g = 0; g < e.groups.size(); ++g) {
+        if (g != 0) out << " |";
+        for (const NodeId node : e.groups[g]) out << ' ' << node;
+      }
+      break;
+    case FaultKind::kHealPartition:
+    case FaultKind::kDropSat:
+      break;
+    case FaultKind::kDropControl:
+      out << ' ' << control_msg_name(e.control_msg);
+      break;
+    case FaultKind::kJoin:
+      out << ' ' << e.a << " l=" << e.quota.l << " k=" << e.quota.k;
+      break;
+    case FaultKind::kFlap:
+      out << ' ' << e.a << ' ' << e.b << " period=" << e.period_slots
+          << " duty=" << e.duty_pct << " cycles=" << e.cycles;
+      break;
+    case FaultKind::kMark:
+      out << ' ' << e.label;
+      break;
+  }
+  return out.str();
+}
+
 void FaultPlan::add(FaultEvent event) {
   const auto at = std::upper_bound(
       events.begin(), events.end(), event.slot,
@@ -64,56 +146,11 @@ void FaultPlan::add(FaultEvent event) {
 }
 
 std::string FaultPlan::to_text() const {
-  std::ostringstream out;
+  std::string text;
   for (const FaultEvent& e : events) {
-    out << '@' << e.slot << ' ' << to_string(e.kind);
-    switch (e.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kStall:
-      case FaultKind::kResume:
-      case FaultKind::kLeave:
-        out << ' ' << e.a;
-        break;
-      case FaultKind::kLinkDegrade:
-        out << ' ' << e.a << ' ' << e.b << " avg=" << e.ge.average_loss()
-            << " dwell="
-            << (e.ge.p_bad_to_good > 0.0 ? 1.0 / e.ge.p_bad_to_good : 1.0)
-            << " bad=" << e.ge.loss_bad;
-        break;
-      case FaultKind::kLinkBreak:
-      case FaultKind::kLinkHeal:
-        out << ' ' << e.a << ' ' << e.b;
-        break;
-      case FaultKind::kPartition:
-        for (std::size_t g = 0; g < e.groups.size(); ++g) {
-          if (g != 0) out << " |";
-          for (const NodeId node : e.groups[g]) out << ' ' << node;
-        }
-        break;
-      case FaultKind::kHealPartition:
-      case FaultKind::kDropSat:
-        break;
-      case FaultKind::kDropControl:
-        out << ' ' << control_msg_name(e.control_msg);
-        break;
-      case FaultKind::kJoin:
-        out << ' ' << e.a << " l=" << e.quota.l << " k=" << e.quota.k;
-        break;
-      case FaultKind::kFlap:
-        out << ' ' << e.a << ' ' << e.b << " period=" << e.period_slots
-            << " duty=" << e.duty_pct << " cycles=" << e.cycles;
-        break;
-      case FaultKind::kForceSwitch:
-      case FaultKind::kClearSwitch:
-        out << ' ' << e.a;
-        break;
-      case FaultKind::kMark:
-        out << ' ' << e.label;
-        break;
-    }
-    out << '\n';
+    text += '@' + std::to_string(e.slot) + ' ' + fault::to_text(e) + '\n';
   }
-  return out.str();
+  return text;
 }
 
 util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
@@ -130,9 +167,7 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
       return parse_error(line_no, "expected '@<slot> <verb>'");
     }
     FaultEvent event;
-    try {
-      event.slot = std::stoll(head.substr(1));
-    } catch (const std::exception&) {
+    if (!parse_number(std::string_view(head).substr(1), event.slot)) {
       return parse_error(line_no, "bad slot '" + head + "'");
     }
     if (event.slot < 0) return parse_error(line_no, "negative slot");
@@ -140,18 +175,19 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
     if (!(tokens >> verb)) return parse_error(line_no, "missing verb");
 
     const auto need_node = [&](NodeId& node) {
-      std::uint64_t value = 0;
-      if (!(tokens >> value)) return false;
-      node = static_cast<NodeId>(value);
-      return true;
+      std::string token;
+      return static_cast<bool>(tokens >> token) && parse_number(token, node);
     };
 
     if (verb == "crash" || verb == "stall" || verb == "resume" ||
-        verb == "leave") {
-      event.kind = verb == "crash"    ? FaultKind::kCrash
-                   : verb == "stall"  ? FaultKind::kStall
-                   : verb == "resume" ? FaultKind::kResume
-                                      : FaultKind::kLeave;
+        verb == "leave" || verb == "force-switch" ||
+        verb == "clear-switch") {
+      event.kind = verb == "crash"          ? FaultKind::kCrash
+                   : verb == "stall"        ? FaultKind::kStall
+                   : verb == "resume"       ? FaultKind::kResume
+                   : verb == "leave"        ? FaultKind::kLeave
+                   : verb == "force-switch" ? FaultKind::kForceSwitch
+                                            : FaultKind::kClearSwitch;
       if (!need_node(event.a)) return parse_error(line_no, "missing node");
     } else if (verb == "link-degrade") {
       event.kind = FaultKind::kLinkDegrade;
@@ -161,27 +197,16 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
       double avg = 0.0;
       double dwell = 1.0;
       double bad = 1.0;
-      std::string token;
-      while (tokens >> token) {
-        std::string key;
-        std::string value;
-        if (!split_kv(token, key, value)) {
-          return parse_error(line_no, "bad parameter '" + token + "'");
-        }
-        try {
-          if (key == "avg") {
-            avg = std::stod(value);
-          } else if (key == "dwell") {
-            dwell = std::stod(value);
-          } else if (key == "bad") {
-            bad = std::stod(value);
-          } else {
-            return parse_error(line_no, "unknown parameter '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return parse_error(line_no, "bad value in '" + token + "'");
-        }
-      }
+      const auto status = read_params(
+          tokens, line_no,
+          [&](const std::string& key,
+              std::string_view value) -> std::optional<bool> {
+            if (key == "avg") return parse_number(value, avg);
+            if (key == "dwell") return parse_number(value, dwell);
+            if (key == "bad") return parse_number(value, bad);
+            return std::nullopt;
+          });
+      if (!status.ok()) return status.error();
       // Range-check the author's numbers before bursty() clamps them into
       // a solvable chain — a typo like avg=2.0 should be an error, not a
       // silently saturated channel.
@@ -197,8 +222,8 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
                            "the bad-state loss rate");
       }
       event.ge = GeParams::bursty(avg, dwell, bad);
-      if (const auto status = event.ge.validate(); !status.ok()) {
-        return parse_error(line_no, status.error().message);
+      if (const auto valid = event.ge.validate(); !valid.ok()) {
+        return parse_error(line_no, valid.error().message);
       }
     } else if (verb == "link-break" || verb == "link-heal") {
       event.kind = verb == "link-break" ? FaultKind::kLinkBreak
@@ -215,12 +240,11 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
           event.groups.emplace_back();
           continue;
         }
-        try {
-          event.groups.back().push_back(
-              static_cast<NodeId>(std::stoul(token)));
-        } catch (const std::exception&) {
+        NodeId node = kInvalidNode;
+        if (!parse_number(token, node)) {
           return parse_error(line_no, "bad node '" + token + "'");
         }
+        event.groups.back().push_back(node);
       }
       if (event.groups.size() < 2) {
         return parse_error(line_no, "partition needs at least two groups");
@@ -253,51 +277,30 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
     } else if (verb == "join") {
       event.kind = FaultKind::kJoin;
       if (!need_node(event.a)) return parse_error(line_no, "missing node");
-      std::string token;
-      while (tokens >> token) {
-        std::string key;
-        std::string value;
-        if (!split_kv(token, key, value)) {
-          return parse_error(line_no, "bad parameter '" + token + "'");
-        }
-        try {
-          if (key == "l") {
-            event.quota.l = static_cast<std::uint32_t>(std::stoul(value));
-          } else if (key == "k") {
-            event.quota.k = static_cast<std::uint32_t>(std::stoul(value));
-          } else {
-            return parse_error(line_no, "unknown parameter '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return parse_error(line_no, "bad value in '" + token + "'");
-        }
-      }
+      const auto status = read_params(
+          tokens, line_no,
+          [&](const std::string& key,
+              std::string_view value) -> std::optional<bool> {
+            if (key == "l") return parse_number(value, event.quota.l);
+            if (key == "k") return parse_number(value, event.quota.k);
+            return std::nullopt;
+          });
+      if (!status.ok()) return status.error();
     } else if (verb == "flap") {
       event.kind = FaultKind::kFlap;
       if (!need_node(event.a) || !need_node(event.b)) {
         return parse_error(line_no, "flap needs two endpoints");
       }
-      std::string token;
-      while (tokens >> token) {
-        std::string key;
-        std::string value;
-        if (!split_kv(token, key, value)) {
-          return parse_error(line_no, "bad parameter '" + token + "'");
-        }
-        try {
-          if (key == "period") {
-            event.period_slots = std::stoll(value);
-          } else if (key == "duty") {
-            event.duty_pct = static_cast<std::uint32_t>(std::stoul(value));
-          } else if (key == "cycles") {
-            event.cycles = static_cast<std::uint32_t>(std::stoul(value));
-          } else {
-            return parse_error(line_no, "unknown parameter '" + key + "'");
-          }
-        } catch (const std::exception&) {
-          return parse_error(line_no, "bad value in '" + token + "'");
-        }
-      }
+      const auto status = read_params(
+          tokens, line_no,
+          [&](const std::string& key,
+              std::string_view value) -> std::optional<bool> {
+            if (key == "period") return parse_number(value, event.period_slots);
+            if (key == "duty") return parse_number(value, event.duty_pct);
+            if (key == "cycles") return parse_number(value, event.cycles);
+            return std::nullopt;
+          });
+      if (!status.ok()) return status.error();
       if (event.period_slots < 2) {
         return parse_error(line_no, "flap period must be >= 2 slots");
       }
@@ -307,10 +310,6 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
       if (event.cycles < 1) {
         return parse_error(line_no, "flap needs cycles >= 1");
       }
-    } else if (verb == "force-switch" || verb == "clear-switch") {
-      event.kind = verb == "force-switch" ? FaultKind::kForceSwitch
-                                          : FaultKind::kClearSwitch;
-      if (!need_node(event.a)) return parse_error(line_no, "missing node");
     } else if (verb == "mark") {
       event.kind = FaultKind::kMark;
       std::getline(tokens, event.label);
@@ -319,6 +318,11 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
           first == std::string::npos ? "" : event.label.substr(first);
     } else {
       return parse_error(line_no, "unknown verb '" + verb + "'");
+    }
+    // Every branch above consumed what its verb takes (the key=value,
+    // partition and mark forms take the rest of the line).
+    if (std::string extra; tokens >> extra) {
+      return parse_error(line_no, "unexpected '" + extra + "' after " + verb);
     }
     plan.add(std::move(event));
   }

@@ -11,8 +11,8 @@
 // from a seed (the chaos soak's input), so scenarios, benches, and tests
 // all speak the same fault language.
 //
-// The plan is pure data: applying it to an Engine/Topology pair lives in
-// wrtring::Scenario (this library must not depend on the protocol stack).
+// The plan is pure data: applying it to an Engine/Topology pair is
+// wrtring::run_plan (this library must not depend on the protocol stack).
 //
 // Text format, one event per line (blank lines and `#` comments ignored):
 //
@@ -32,6 +32,10 @@
 //   @<slot> force-switch <node>
 //   @<slot> clear-switch <node>
 //   @<slot> mark <label...>
+//
+// Numbers are whole tokens: no trailing characters, no sign on unsigned
+// fields, no node id beyond NodeId, no non-finite value.  A fixed-arity
+// verb takes no extra tokens.
 #pragma once
 
 #include <cstdint>
@@ -83,12 +87,16 @@ struct FaultEvent {
   std::string label;                             ///< kMark text
   // kFlap: the link a <-> b cycles down/up `cycles` times starting at
   // `slot`; each cycle is `period_slots` long and the link is down for the
-  // first `duty_pct` percent of it.  Scenario expands this into timed
-  // break/heal pairs, so the plan stays pure data.
+  // first `duty_pct` percent of it.  wrtring::run_plan expands this into
+  // timed break/restore steps, so the plan stays pure data.
   std::int64_t period_slots = 0;
   std::uint32_t duty_pct = 50;
   std::uint32_t cycles = 0;
 };
+
+/// The event's canonical plan line without its `@<slot> ` prefix, e.g.
+/// "crash 3" or "link-degrade 1 2 avg=0.2 dwell=16 bad=1".
+[[nodiscard]] std::string to_text(const FaultEvent& event);
 
 class FaultPlan {
  public:

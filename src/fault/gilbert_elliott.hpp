@@ -1,14 +1,13 @@
 // Per-link bursty loss: the Gilbert–Elliott two-state channel.
 //
-// The engine's original channel imperfection model was two global i.i.d.
-// Bernoulli knobs (Config::frame_loss_prob / sat_loss_prob) shared by every
-// link.  Real indoor channels are neither independent nor global: a link in
-// a fade stays bad for a while (bursty loss), and different links fade
-// independently.  The classic two-state Gilbert–Elliott chain captures
-// exactly that: each directed link is in a Good or Bad state with per-state
-// loss probabilities, and flips state with fixed transition probabilities.
-// The i.i.d. knobs survive as the degenerate case (one state, or two
-// identical states).
+// The simplest channel imperfection model is a global i.i.d. Bernoulli loss
+// shared by every link.  Real indoor channels are neither independent nor
+// global: a link in a fade stays bad for a while (bursty loss), and
+// different links fade independently.  The classic two-state
+// Gilbert–Elliott chain captures exactly that: each directed link is in a
+// Good or Bad state with per-state loss probabilities, and flips state with
+// fixed transition probabilities.
+// I.i.d. loss is the degenerate case (GeParams::iid: one state).
 //
 // Determinism contract: every (purpose, directed link) pair owns an
 // independent RngStream derived from (seed, purpose, from, to), and a draw

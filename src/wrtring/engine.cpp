@@ -63,22 +63,9 @@ util::Status Engine::init() {
   fsm_.bind(this, {config_.guard_slots, config_.wtr_slots, config_.wtb_slots,
                    config_.revertive});
 
-  // Channel model: the scalar i.i.d. knobs are the degenerate form of the
-  // per-link Gilbert–Elliott field; each folds in only when the richer
-  // process for that purpose is not configured.  With everything disabled
-  // the field makes zero RNG draws — behaviour is bit-identical to a build
-  // without the fault plane.
-  fault::ChannelConfig channel = config_.channel;
-  if (!channel.data.enabled() && config_.frame_loss_prob > 0.0) {
-    channel.data = fault::GeParams::iid(config_.frame_loss_prob);
-  }
-  if (!channel.sat.enabled() && config_.sat_loss_prob > 0.0) {
-    channel.sat = fault::GeParams::iid(config_.sat_loss_prob);
-  }
-  if (!channel.control.enabled() && config_.control_loss_prob > 0.0) {
-    channel.control = fault::GeParams::iid(config_.control_loss_prob);
-  }
-  link_loss_.configure(channel, seed_);
+  // With every loss process disabled the field makes zero RNG draws —
+  // behaviour is bit-identical to a build without the fault plane.
+  link_loss_.configure(config_.channel, seed_);
   auto ring_result =
       config_.members.empty()
           ? ring::build_ring(*topology_)

@@ -3,342 +3,140 @@
 #include <algorithm>
 
 namespace wrt::wrtring {
+namespace {
 
-Scenario& Scenario::join_at(std::int64_t slot, NodeId node, Quota quota) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kJoin;
-  action.a = node;
-  action.quota = quota;
-  action.label = "join request station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
-}
+/// One timed event.  A flap's restore step is a link-heal that only
+/// restores the topology link (`restore_only`).
+struct Step {
+  fault::FaultEvent event;
+  bool restore_only = false;
+};
 
-Scenario& Scenario::leave_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kLeave;
-  action.a = node;
-  action.label = "graceful leave station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::kill_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kKill;
-  action.a = node;
-  action.label = "kill station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::stall_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kStall;
-  action.a = node;
-  action.label = "stall station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::resume_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kResume;
-  action.a = node;
-  action.label = "resume station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::drop_sat_at(std::int64_t slot) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kDropSat;
-  action.label = "drop SAT";
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::drop_control_at(std::int64_t slot,
-                                    Engine::ControlMsg which) {
-  static const char* kNames[] = {"NEXT_FREE", "JOIN_REQ", "JOIN_ACK"};
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kDropControl;
-  action.control_msg = which;
-  action.label =
-      std::string("drop ") + kNames[static_cast<std::size_t>(which)];
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::fail_link_at(std::int64_t slot, NodeId a, NodeId b) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kFailLink;
-  action.a = a;
-  action.b = b;
-  action.label =
-      "fail link " + std::to_string(a) + "-" + std::to_string(b);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::restore_link_at(std::int64_t slot, NodeId a, NodeId b) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kRestoreLink;
-  action.a = a;
-  action.b = b;
-  action.label =
-      "restore link " + std::to_string(a) + "-" + std::to_string(b);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::degrade_link_at(std::int64_t slot, NodeId a, NodeId b,
-                                    const fault::GeParams& params) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kDegradeLink;
-  action.a = a;
-  action.b = b;
-  action.ge = params;
-  action.label =
-      "degrade link " + std::to_string(a) + "-" + std::to_string(b);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::heal_link_at(std::int64_t slot, NodeId a, NodeId b) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kHealLink;
-  action.a = a;
-  action.b = b;
-  action.label =
-      "heal link " + std::to_string(a) + "-" + std::to_string(b);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::partition_at(std::int64_t slot,
-                                 std::vector<std::vector<NodeId>> groups) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kPartition;
-  action.groups = std::move(groups);
-  action.label =
-      "partition into " + std::to_string(action.groups.size()) + " groups";
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::heal_partition_at(std::int64_t slot) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kHealPartition;
-  action.label = "heal partition";
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::flap_link_at(std::int64_t slot, NodeId a, NodeId b,
-                                 std::int64_t period_slots,
-                                 std::uint32_t duty_pct,
-                                 std::uint32_t cycles) {
-  // Down for the first duty_pct percent of each period (at least 1 slot,
-  // at most period - 1 so the link is also provably up every cycle).
-  const std::int64_t down = std::clamp<std::int64_t>(
-      period_slots * duty_pct / 100, 1, period_slots - 1);
-  for (std::uint32_t c = 0; c < cycles; ++c) {
-    const std::int64_t start = slot + static_cast<std::int64_t>(c) *
-                                          period_slots;
-    fail_link_at(start, a, b);
-    restore_link_at(start + down, a, b);
-  }
-  return *this;
-}
-
-Scenario& Scenario::force_switch_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kForceSwitch;
-  action.a = node;
-  action.label = "force switch station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::clear_switch_at(std::int64_t slot, NodeId node) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kClearSwitch;
-  action.a = node;
-  action.label = "clear forced switch station " + std::to_string(node);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::mark_at(std::int64_t slot, std::string label) {
-  Action action;
-  action.slot = slot;
-  action.kind = Action::Kind::kMark;
-  action.label = std::move(label);
-  actions_.push_back(std::move(action));
-  return *this;
-}
-
-Scenario& Scenario::apply_plan(const fault::FaultPlan& plan) {
+/// The plan's events in slot order, each flap replaced by its break /
+/// restore steps at the flap's position (ties keep plan order).
+std::vector<Step> expand(const fault::FaultPlan& plan) {
+  std::vector<Step> steps;
   for (const fault::FaultEvent& event : plan.events) {
-    switch (event.kind) {
-      case fault::FaultKind::kCrash:
-        kill_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kStall:
-        stall_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kResume:
-        resume_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kLeave:
-        leave_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kLinkDegrade:
-        degrade_link_at(event.slot, event.a, event.b, event.ge);
-        break;
-      case fault::FaultKind::kLinkBreak:
-        fail_link_at(event.slot, event.a, event.b);
-        break;
-      case fault::FaultKind::kLinkHeal:
-        heal_link_at(event.slot, event.a, event.b);
-        break;
-      case fault::FaultKind::kPartition:
-        partition_at(event.slot, event.groups);
-        break;
-      case fault::FaultKind::kHealPartition:
-        heal_partition_at(event.slot);
-        break;
-      case fault::FaultKind::kDropSat:
-        drop_sat_at(event.slot);
-        break;
-      case fault::FaultKind::kDropControl:
-        drop_control_at(event.slot,
-                        static_cast<Engine::ControlMsg>(event.control_msg));
-        break;
-      case fault::FaultKind::kJoin:
-        join_at(event.slot, event.a, event.quota);
-        break;
-      case fault::FaultKind::kFlap:
-        flap_link_at(event.slot, event.a, event.b, event.period_slots,
-                     event.duty_pct, event.cycles);
-        break;
-      case fault::FaultKind::kForceSwitch:
-        force_switch_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kClearSwitch:
-        clear_switch_at(event.slot, event.a);
-        break;
-      case fault::FaultKind::kMark:
-        mark_at(event.slot, event.label);
-        break;
+    if (event.kind != fault::FaultKind::kFlap) {
+      steps.push_back({event, false});
+      continue;
+    }
+    // Down for the first duty_pct percent of each period (at least 1 slot,
+    // at most period - 1 so the link is also provably up every cycle).
+    const std::int64_t down = std::clamp<std::int64_t>(
+        event.period_slots * event.duty_pct / 100, 1,
+        event.period_slots - 1);
+    for (std::uint32_t c = 0; c < event.cycles; ++c) {
+      fault::FaultEvent cut;
+      cut.kind = fault::FaultKind::kLinkBreak;
+      cut.a = event.a;
+      cut.b = event.b;
+      cut.slot =
+          event.slot + static_cast<std::int64_t>(c) * event.period_slots;
+      fault::FaultEvent restore = cut;
+      restore.kind = fault::FaultKind::kLinkHeal;
+      restore.slot = cut.slot + down;
+      steps.push_back({std::move(cut), false});
+      steps.push_back({std::move(restore), true});
     }
   }
-  return *this;
+  std::stable_sort(steps.begin(), steps.end(),
+                   [](const Step& x, const Step& y) {
+                     return x.event.slot < y.event.slot;
+                   });
+  return steps;
 }
 
-std::vector<Scenario::LogEntry> Scenario::run(
-    Engine& engine, phy::Topology& topology, std::int64_t until_slot,
-    phy::MobilityModel* mobility, std::int64_t mobility_period_slots) {
-  std::stable_sort(actions_.begin(), actions_.end(),
-                   [](const Action& x, const Action& y) {
-                     return x.slot < y.slot;
-                   });
+/// Applies one step; returns the engine's refusal, if any, for the log.
+std::string apply(const Step& step, Engine& engine,
+                  phy::Topology& topology) {
+  const fault::FaultEvent& event = step.event;
+  switch (event.kind) {
+    case fault::FaultKind::kJoin:
+      topology.set_alive(event.a, true);
+      engine.request_join(event.a, event.quota);
+      break;
+    case fault::FaultKind::kLeave:
+      if (const auto status = engine.request_leave(event.a); !status.ok()) {
+        return "leave refused: " + status.error().message;
+      }
+      break;
+    case fault::FaultKind::kCrash:
+      engine.kill_station(event.a);
+      break;
+    case fault::FaultKind::kStall:
+      engine.stall_station(event.a);
+      break;
+    case fault::FaultKind::kResume:
+      engine.resume_station(event.a);
+      break;
+    case fault::FaultKind::kDropSat:
+      engine.drop_sat_once();
+      break;
+    case fault::FaultKind::kDropControl:
+      engine.drop_control_once(
+          static_cast<Engine::ControlMsg>(event.control_msg));
+      break;
+    case fault::FaultKind::kLinkBreak:
+      topology.fail_link(event.a, event.b);
+      break;
+    case fault::FaultKind::kLinkHeal:
+      // A plan's link-heal undoes whichever hit the link: the GE override,
+      // the hard break, or both.
+      if (!step.restore_only) engine.heal_link(event.a, event.b);
+      topology.restore_link(event.a, event.b);
+      break;
+    case fault::FaultKind::kLinkDegrade:
+      engine.degrade_link(event.a, event.b, event.ge);
+      break;
+    case fault::FaultKind::kPartition:
+      topology.set_partition(event.groups);
+      break;
+    case fault::FaultKind::kHealPartition:
+      topology.clear_partition();
+      break;
+    case fault::FaultKind::kForceSwitch:
+      if (const auto status = engine.force_switch(event.a); !status.ok()) {
+        return "force switch refused: " + status.error().message;
+      }
+      break;
+    case fault::FaultKind::kClearSwitch:
+      engine.clear_force_switch(event.a);
+      break;
+    case fault::FaultKind::kFlap:  // expanded into steps
+    case fault::FaultKind::kMark:
+      break;
+  }
+  return {};
+}
 
-  std::vector<LogEntry> log;
-  const auto record = [&](const std::string& what) {
-    log.push_back({engine.now_slots(), what, engine.virtual_ring().size(),
-                   engine.sat_state()});
+}  // namespace
+
+std::vector<ScenarioLogEntry> run_plan(const fault::FaultPlan& plan,
+                                       Engine& engine,
+                                       phy::Topology& topology,
+                                       std::int64_t until_slot,
+                                       phy::MobilityModel* mobility,
+                                       std::int64_t mobility_period_slots) {
+  const std::vector<Step> steps = expand(plan);
+  std::vector<ScenarioLogEntry> log;
+  const auto record = [&](std::string what) {
+    log.push_back({engine.now_slots(), std::move(what),
+                   engine.virtual_ring().size(), engine.sat_state()});
   };
 
-  std::size_t next_action = 0;
+  std::size_t next = 0;
   std::size_t last_ring_size = engine.virtual_ring().size();
   std::int64_t last_mobility = engine.now_slots();
 
   while (engine.now_slots() < until_slot) {
-    while (next_action < actions_.size() &&
-           actions_[next_action].slot <= engine.now_slots()) {
-      const Action& action = actions_[next_action];
-      switch (action.kind) {
-        case Action::Kind::kJoin:
-          // A scripted join means the station has arrived / powered on;
-          // chaos plans park joiner candidates as dead nodes until then.
-          topology.set_alive(action.a, true);
-          engine.request_join(action.a, action.quota);
-          break;
-        case Action::Kind::kLeave: {
-          const auto status = engine.request_leave(action.a);
-          if (!status.ok()) {
-            record("leave refused: " + status.error().message);
-          }
-          break;
-        }
-        case Action::Kind::kKill:
-          engine.kill_station(action.a);
-          break;
-        case Action::Kind::kStall:
-          engine.stall_station(action.a);
-          break;
-        case Action::Kind::kResume:
-          engine.resume_station(action.a);
-          break;
-        case Action::Kind::kDropSat:
-          engine.drop_sat_once();
-          break;
-        case Action::Kind::kDropControl:
-          engine.drop_control_once(action.control_msg);
-          break;
-        case Action::Kind::kFailLink:
-          topology.fail_link(action.a, action.b);
-          break;
-        case Action::Kind::kRestoreLink:
-          topology.restore_link(action.a, action.b);
-          break;
-        case Action::Kind::kDegradeLink:
-          engine.degrade_link(action.a, action.b, action.ge);
-          break;
-        case Action::Kind::kHealLink:
-          // A FaultPlan's link-heal undoes whichever hit the link: the GE
-          // override, the hard break, or both.
-          engine.heal_link(action.a, action.b);
-          topology.restore_link(action.a, action.b);
-          break;
-        case Action::Kind::kPartition:
-          topology.set_partition(action.groups);
-          break;
-        case Action::Kind::kHealPartition:
-          topology.clear_partition();
-          break;
-        case Action::Kind::kForceSwitch: {
-          const auto status = engine.force_switch(action.a);
-          if (!status.ok()) {
-            record("force switch refused: " + status.error().message);
-          }
-          break;
-        }
-        case Action::Kind::kClearSwitch:
-          engine.clear_force_switch(action.a);
-          break;
-        case Action::Kind::kMark:
-          break;
+    for (; next < steps.size() && steps[next].event.slot <= engine.now_slots();
+         ++next) {
+      if (std::string refusal = apply(steps[next], engine, topology);
+          !refusal.empty()) {
+        record(std::move(refusal));
       }
-      record(action.label);
-      ++next_action;
+      record(fault::to_text(steps[next].event));
     }
 
     if (mobility != nullptr &&
@@ -351,9 +149,8 @@ std::vector<Scenario::LogEntry> Scenario::run(
     engine.step();
 
     if (engine.virtual_ring().size() != last_ring_size) {
-      record(engine.virtual_ring().size() > last_ring_size
-                 ? "ring grew"
-                 : "ring shrank");
+      record(engine.virtual_ring().size() > last_ring_size ? "ring grew"
+                                                           : "ring shrank");
       last_ring_size = engine.virtual_ring().size();
     }
   }

@@ -1,11 +1,11 @@
-// Scenario scripting: deterministic timelines of topology events.
+// Running a FaultPlan: deterministic timelines of topology events.
 //
 // Experiments and examples repeatedly need "run N slots, then a station
-// dies, then a joiner appears, then a link drops ...".  A Scenario is that
-// script: a sorted list of timed actions applied to an Engine (plus its
-// Topology and an optional mobility model) while the simulation advances,
-// with an event log recording what happened and when — so tests can assert
-// on the protocol's externally visible timeline.
+// dies, then a joiner appears, then a link drops ...".  That script is a
+// fault::FaultPlan; run_plan applies its events to an Engine (plus its
+// Topology and an optional mobility model) as the simulation reaches their
+// slots, with an event log recording what happened and when — so tests can
+// assert on the protocol's externally visible timeline.
 #pragma once
 
 #include <string>
@@ -17,90 +17,28 @@
 
 namespace wrt::wrtring {
 
-class Scenario {
- public:
-  Scenario& join_at(std::int64_t slot, NodeId node, Quota quota);
-  Scenario& leave_at(std::int64_t slot, NodeId node);
-  Scenario& kill_at(std::int64_t slot, NodeId node);
-  Scenario& stall_at(std::int64_t slot, NodeId node);
-  Scenario& resume_at(std::int64_t slot, NodeId node);
-  Scenario& drop_sat_at(std::int64_t slot);
-  Scenario& drop_control_at(std::int64_t slot, Engine::ControlMsg which);
-  Scenario& fail_link_at(std::int64_t slot, NodeId a, NodeId b);
-  Scenario& restore_link_at(std::int64_t slot, NodeId a, NodeId b);
-  /// Gilbert–Elliott override on link a <-> b (all purposes).
-  Scenario& degrade_link_at(std::int64_t slot, NodeId a, NodeId b,
-                            const fault::GeParams& params);
-  /// Undoes both degrade_link_at and fail_link_at on the link.
-  Scenario& heal_link_at(std::int64_t slot, NodeId a, NodeId b);
-  Scenario& partition_at(std::int64_t slot,
-                         std::vector<std::vector<NodeId>> groups);
-  Scenario& heal_partition_at(std::int64_t slot);
-  /// Link a <-> b cycles down/up `cycles` times from `slot`: each cycle is
-  /// `period_slots` long with the link down for its first `duty_pct`
-  /// percent (>= 1 slot).  Expands into fail/restore pairs at build time.
-  Scenario& flap_link_at(std::int64_t slot, NodeId a, NodeId b,
-                         std::int64_t period_slots, std::uint32_t duty_pct,
-                         std::uint32_t cycles);
-  /// Operator-forced protection switch on `node` (Engine::force_switch).
-  Scenario& force_switch_at(std::int64_t slot, NodeId node);
-  /// Releases the forced switch (Engine::clear_force_switch; WTB starts).
-  Scenario& clear_switch_at(std::int64_t slot, NodeId node);
-  /// Free-form marker copied into the log (phase labels).
-  Scenario& mark_at(std::int64_t slot, std::string label);
-
-  /// Appends every event of a FaultPlan; this is how scripted/randomized
-  /// plans (tools/wrt_chaos, tests) become live engine faults.
-  Scenario& apply_plan(const fault::FaultPlan& plan);
-
-  struct LogEntry {
-    std::int64_t slot = 0;
-    std::string what;
-    std::size_t ring_size = 0;
-    SatState sat_state = SatState::kLost;
-  };
-
-  /// Runs the engine to `until_slot`, applying actions as their time comes
-  /// and stepping `mobility` (when non-null) every `mobility_period_slots`.
-  /// Returns the event log (scripted actions plus automatic entries for
-  /// ring-size changes observed between steps).
-  std::vector<LogEntry> run(Engine& engine, phy::Topology& topology,
-                            std::int64_t until_slot,
-                            phy::MobilityModel* mobility = nullptr,
-                            std::int64_t mobility_period_slots = 100);
-
- private:
-  struct Action {
-    enum class Kind {
-      kJoin,
-      kLeave,
-      kKill,
-      kStall,
-      kResume,
-      kDropSat,
-      kDropControl,
-      kFailLink,
-      kRestoreLink,
-      kDegradeLink,
-      kHealLink,
-      kPartition,
-      kHealPartition,
-      kForceSwitch,
-      kClearSwitch,
-      kMark,
-    };
-    std::int64_t slot = 0;
-    Kind kind = Kind::kMark;
-    NodeId a = kInvalidNode;
-    NodeId b = kInvalidNode;
-    Quota quota{1, 1};
-    fault::GeParams ge{};
-    Engine::ControlMsg control_msg = Engine::ControlMsg::kNextFree;
-    std::vector<std::vector<NodeId>> groups;
-    std::string label;
-  };
-
-  std::vector<Action> actions_;
+struct ScenarioLogEntry {
+  std::int64_t slot = 0;
+  std::string what;
+  std::size_t ring_size = 0;
+  SatState sat_state = SatState::kLost;
 };
+
+/// Runs the engine to `until_slot`, applying each event of `plan` when its
+/// slot comes and stepping `mobility` (when non-null) every
+/// `mobility_period_slots`.  A flap expands into link-break / link-heal
+/// steps; a flap's link-heal only restores the topology link, while a
+/// plan's link-heal also lifts a link-degrade override.  A scripted join
+/// first marks its station alive (chaos plans park joiner candidates as
+/// dead nodes until then).
+///
+/// Returns the event log: one entry per applied event, whose `what` is the
+/// event's plan line without its slot (fault::to_text), preceded by "leave
+/// refused: ..." / "force switch refused: ..." when the engine refuses, plus
+/// "ring grew" / "ring shrank" entries for ring-size changes between steps.
+[[nodiscard]] std::vector<ScenarioLogEntry> run_plan(
+    const fault::FaultPlan& plan, Engine& engine, phy::Topology& topology,
+    std::int64_t until_slot, phy::MobilityModel* mobility = nullptr,
+    std::int64_t mobility_period_slots = 100);
 
 }  // namespace wrt::wrtring

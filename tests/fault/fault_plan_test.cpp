@@ -144,6 +144,63 @@ TEST(FaultPlan, ParseRejectsMalformedFlapAndSwitch) {
   EXPECT_FALSE(FaultPlan::parse("@10 clear-switch").ok());
 }
 
+TEST(FaultPlan, ZeroAverageDegradeRoundTrips) {
+  // avg=0 is a disabled override; it must print in a form that parses back.
+  const auto plan =
+      FaultPlan::parse("@10 link-degrade 1 2 avg=0 dwell=5 bad=1\n");
+  ASSERT_TRUE(plan.ok()) << plan.error().message;
+  EXPECT_FALSE(plan.value().events[0].ge.enabled());
+  const std::string text = plan.value().to_text();
+  const auto reparsed = FaultPlan::parse(text);
+  ASSERT_TRUE(reparsed.ok()) << text << ": " << reparsed.error().message;
+  EXPECT_EQ(reparsed.value().to_text(), text);
+  EXPECT_FALSE(reparsed.value().events[0].ge.enabled());
+}
+
+TEST(FaultPlan, ParseRejectsTrailingJunkInNumbers) {
+  EXPECT_FALSE(FaultPlan::parse("@10 link-degrade 1 2 avg=0.05xyz").ok());
+  EXPECT_FALSE(FaultPlan::parse("@10x crash 3").ok());
+  EXPECT_FALSE(FaultPlan::parse("@10 partition 0 1 | 2 3x").ok());
+  EXPECT_TRUE(FaultPlan::parse("@10 partition 0 1 | 2 3").ok());
+}
+
+TEST(FaultPlan, ParseRejectsSignOnUnsignedFields) {
+  EXPECT_FALSE(FaultPlan::parse("@10 join 4 l=-1").ok());
+  EXPECT_FALSE(
+      FaultPlan::parse("@10 flap 1 2 period=32 duty=40 cycles=-1").ok());
+  EXPECT_FALSE(FaultPlan::parse("@10 partition 0 1 | 2 -3").ok());
+  EXPECT_TRUE(FaultPlan::parse("@10 join 4 l=1").ok());
+}
+
+TEST(FaultPlan, ParseRejectsNodeIdsBeyondNodeId) {
+  EXPECT_FALSE(FaultPlan::parse("@10 crash 4294967297").ok());
+  EXPECT_FALSE(FaultPlan::parse("@10 link-break 1 4294967296").ok());
+  const auto max_id = FaultPlan::parse("@10 crash 4294967295");
+  ASSERT_TRUE(max_id.ok());
+  EXPECT_EQ(max_id.value().events[0].a, 4294967295u);
+}
+
+TEST(FaultPlan, ParseRejectsNonFiniteNumbers) {
+  EXPECT_FALSE(
+      FaultPlan::parse("@10 link-degrade 1 2 avg=0.1 dwell=nan").ok());
+  EXPECT_FALSE(
+      FaultPlan::parse("@10 link-degrade 1 2 avg=0.1 dwell=inf").ok());
+  EXPECT_FALSE(FaultPlan::parse("@10 link-degrade 1 2 avg=nan").ok());
+}
+
+TEST(FaultPlan, ParseRejectsExtraTokensAfterFixedArityVerb) {
+  EXPECT_FALSE(FaultPlan::parse("@10 crash 3 4").ok());
+  EXPECT_FALSE(FaultPlan::parse("@10 link-break 1 2 junk").ok());
+  EXPECT_FALSE(FaultPlan::parse("@10 drop-sat 1").ok());
+  EXPECT_FALSE(FaultPlan::parse("@10 drop-control join-req 2").ok());
+  EXPECT_FALSE(FaultPlan::parse("@10 heal-partition now").ok());
+  const auto error = FaultPlan::parse("@1 drop-sat\n@10 crash 3 4\n");
+  ASSERT_FALSE(error.ok());
+  EXPECT_EQ(error.error().code, util::Error::Code::kInvalidArgument);
+  EXPECT_NE(error.error().message.find("line 2"), std::string::npos)
+      << error.error().message;
+}
+
 TEST(FaultPlan, SaveLoadRoundTrips) {
   const FaultPlan plan = sample_plan();
   const std::string path =

@@ -11,33 +11,53 @@ namespace {
 
 using testing::Harness;
 
-bool log_contains(const std::vector<Scenario::LogEntry>& log,
+bool log_contains(const std::vector<ScenarioLogEntry>& log,
                   const std::string& needle) {
   return std::any_of(log.begin(), log.end(),
-                     [&](const Scenario::LogEntry& entry) {
+                     [&](const ScenarioLogEntry& entry) {
                        return entry.what.find(needle) != std::string::npos;
                      });
 }
 
+fault::FaultPlan plan_of(const std::string& text) {
+  auto plan = fault::FaultPlan::parse(text);
+  EXPECT_TRUE(plan.ok()) << plan.error().message;
+  return plan.ok() ? std::move(plan.value()) : fault::FaultPlan{};
+}
+
 TEST(Scenario, AppliesActionsAtScriptedSlots) {
   Harness h(10, Config{});
-  Scenario scenario;
-  scenario.kill_at(200, h.engine.virtual_ring().station_at(4))
-      .mark_at(100, "checkpoint");
-  const auto log = scenario.run(h.engine, h.topology, 2000);
-  ASSERT_TRUE(log_contains(log, "kill station"));
-  ASSERT_TRUE(log_contains(log, "checkpoint"));
-  // The marker fired before the kill despite insertion order.
-  const auto mark = std::find_if(log.begin(), log.end(),
-                                 [](const auto& e) {
-                                   return e.what == "checkpoint";
-                                 });
-  const auto kill = std::find_if(log.begin(), log.end(), [](const auto& e) {
-    return e.what.find("kill") != std::string::npos;
+  const NodeId victim = h.engine.virtual_ring().station_at(4);
+  // Added out of slot order: the plan (and so the run) is slot-ordered.
+  fault::FaultPlan plan;
+  fault::FaultEvent kill;
+  kill.slot = 200;
+  kill.kind = fault::FaultKind::kCrash;
+  kill.a = victim;
+  plan.add(kill);
+  fault::FaultEvent mark;
+  mark.slot = 100;
+  mark.kind = fault::FaultKind::kMark;
+  mark.label = "checkpoint";
+  plan.add(mark);
+  const auto log = run_plan(plan, h.engine, h.topology, 2000);
+  const std::string kill_line = "crash " + std::to_string(victim);
+  ASSERT_TRUE(log_contains(log, kill_line));
+  ASSERT_TRUE(log_contains(log, "mark checkpoint"));
+  // The marker fired before the kill despite insertion order, and each at
+  // its scripted slot.
+  const auto marked = std::find_if(log.begin(), log.end(),
+                                   [](const auto& e) {
+                                     return e.what == "mark checkpoint";
+                                   });
+  const auto killed = std::find_if(log.begin(), log.end(), [&](const auto& e) {
+    return e.what == kill_line;
   });
-  ASSERT_NE(mark, log.end());
-  ASSERT_NE(kill, log.end());
-  EXPECT_LT(mark->slot, kill->slot);
+  ASSERT_NE(marked, log.end());
+  ASSERT_NE(killed, log.end());
+  EXPECT_LT(marked - log.begin(), killed - log.begin());
+  EXPECT_EQ(marked->slot, 100);
+  EXPECT_EQ(killed->slot, 200);
   // The automatic ring-size entry follows the recovery.
   EXPECT_TRUE(log_contains(log, "ring shrank"));
   EXPECT_EQ(h.engine.virtual_ring().size(), 9u);
@@ -50,19 +70,20 @@ TEST(Scenario, JoinScript) {
   const phy::Vec2 mid =
       (h.topology.position(0) + h.topology.position(1)) * 0.5;
   const NodeId joiner = h.topology.add_node(mid);
-  Scenario scenario;
-  scenario.join_at(50, joiner, {1, 1});
-  const auto log = scenario.run(h.engine, h.topology, 12000);
-  EXPECT_TRUE(log_contains(log, "join request"));
+  const auto log =
+      run_plan(plan_of("@50 join " + std::to_string(joiner) + " l=1 k=1\n"),
+               h.engine, h.topology, 12000);
+  EXPECT_TRUE(log_contains(log, "join " + std::to_string(joiner)));
   EXPECT_TRUE(log_contains(log, "ring grew"));
   EXPECT_TRUE(h.engine.virtual_ring().contains(joiner));
 }
 
 TEST(Scenario, LeaveRefusalIsLogged) {
   Harness h(3, Config{});
-  Scenario scenario;
-  scenario.leave_at(10, h.engine.virtual_ring().station_at(0));
-  const auto log = scenario.run(h.engine, h.topology, 100);
+  const NodeId node = h.engine.virtual_ring().station_at(0);
+  const auto log =
+      run_plan(plan_of("@10 leave " + std::to_string(node) + "\n"),
+               h.engine, h.topology, 100);
   EXPECT_TRUE(log_contains(log, "leave refused"));
   EXPECT_EQ(h.engine.virtual_ring().size(), 3u);
 }
@@ -71,32 +92,32 @@ TEST(Scenario, LinkFailureAndRestore) {
   Harness h(8, Config{});
   const NodeId a = h.engine.virtual_ring().station_at(1);
   const NodeId b = h.engine.virtual_ring().station_at(2);
-  Scenario scenario;
-  scenario.fail_link_at(100, a, b).restore_link_at(150, a, b);
-  const auto log = scenario.run(h.engine, h.topology, 1500);
-  EXPECT_TRUE(log_contains(log, "fail link"));
-  EXPECT_TRUE(log_contains(log, "restore link"));
+  const std::string link = std::to_string(a) + " " + std::to_string(b);
+  const auto log = run_plan(
+      plan_of("@100 link-break " + link + "\n@150 link-heal " + link + "\n"),
+      h.engine, h.topology, 1500);
+  EXPECT_TRUE(log_contains(log, "link-break " + link));
+  EXPECT_TRUE(log_contains(log, "link-heal " + link));
   EXPECT_TRUE(h.topology.reachable(a, b));
 }
 
 TEST(Scenario, DropSatTimeline) {
   Harness h(8, Config{});
-  Scenario scenario;
-  scenario.drop_sat_at(100);
-  const auto log = scenario.run(h.engine, h.topology, 2000);
-  EXPECT_TRUE(log_contains(log, "drop SAT"));
+  const auto log =
+      run_plan(plan_of("@100 drop-sat\n"), h.engine, h.topology, 2000);
+  EXPECT_TRUE(log_contains(log, "drop-sat"));
   EXPECT_EQ(h.engine.stats().sat_losses_detected, 1u);
 }
 
 TEST(Scenario, LogCarriesRingStateSnapshots) {
   Harness h(8, Config{});
-  Scenario scenario;
-  scenario.mark_at(10, "snap");
-  const auto log = scenario.run(h.engine, h.topology, 100);
+  const auto log =
+      run_plan(plan_of("@10 mark snap\n"), h.engine, h.topology, 100);
   const auto snap = std::find_if(log.begin(), log.end(), [](const auto& e) {
-    return e.what == "snap";
+    return e.what == "mark snap";
   });
   ASSERT_NE(snap, log.end());
+  EXPECT_EQ(snap->slot, 10);
   EXPECT_EQ(snap->ring_size, 8u);
 }
 
@@ -109,8 +130,8 @@ TEST(Scenario, MobilityHookRuns) {
                                       params, 3);
   mobility.bind(h.topology);
   const phy::Vec2 before = h.topology.position(0);
-  Scenario scenario;
-  (void)scenario.run(h.engine, h.topology, 20000, &mobility, 50);
+  (void)run_plan(fault::FaultPlan{}, h.engine, h.topology, 20000, &mobility,
+                 50);
   // Tight leash: ring survives; position drifted at least a little.
   EXPECT_EQ(h.engine.virtual_ring().size(), 8u);
   const double moved = phy::distance(h.topology.position(0), before);
@@ -120,20 +141,19 @@ TEST(Scenario, MobilityHookRuns) {
 
 TEST(Scenario, FlapExpandsIntoBreakHealPairsPerCycle) {
   Harness h(8, Config{});
-  Scenario scenario;
-  scenario.flap_link_at(100, 0, 1, /*period_slots=*/40, /*duty_pct=*/25,
-                        /*cycles=*/3);
-  const auto log = scenario.run(h.engine, h.topology, 400);
+  const auto log =
+      run_plan(plan_of("@100 flap 0 1 period=40 duty=25 cycles=3\n"),
+               h.engine, h.topology, 400);
   std::size_t fails = 0;
   std::size_t restores = 0;
   std::int64_t first_fail = -1;
   std::int64_t first_restore = -1;
-  for (const Scenario::LogEntry& entry : log) {
-    if (entry.what == "fail link 0-1") {
+  for (const ScenarioLogEntry& entry : log) {
+    if (entry.what == "link-break 0 1") {
       if (fails == 0) first_fail = entry.slot;
       ++fails;
     }
-    if (entry.what == "restore link 0-1") {
+    if (entry.what == "link-heal 0 1") {
       if (restores == 0) first_restore = entry.slot;
       ++restores;
     }
@@ -151,11 +171,12 @@ TEST(Scenario, ForcedSwitchScriptHoldsAndReleasesStation) {
   config.auto_rejoin = true;
   Harness h(8, config);
   const NodeId victim = h.engine.virtual_ring().station_at(4);
-  Scenario scenario;
-  scenario.force_switch_at(100, victim).clear_switch_at(2000, victim);
-  const auto log = scenario.run(h.engine, h.topology, 12000);
-  EXPECT_TRUE(log_contains(log, "force switch station"));
-  EXPECT_TRUE(log_contains(log, "clear forced switch station"));
+  const std::string node = std::to_string(victim);
+  const auto log = run_plan(plan_of("@100 force-switch " + node +
+                                    "\n@2000 clear-switch " + node + "\n"),
+                            h.engine, h.topology, 12000);
+  EXPECT_TRUE(log_contains(log, "force-switch " + node));
+  EXPECT_TRUE(log_contains(log, "clear-switch " + node));
   // Forced out via graceful leave, re-admitted after the clear (wtb = 0).
   EXPECT_TRUE(log_contains(log, "ring shrank"));
   EXPECT_TRUE(h.engine.virtual_ring().contains(victim));

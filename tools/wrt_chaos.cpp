@@ -5,8 +5,8 @@
 // Gilbert–Elliott channel (data + SAT + control), generates a survivable
 // random FaultPlan (crashes, stalls, leaves, link degrades/breaks,
 // partitions, one-shot SAT/handshake drops, forced joins — all healed
-// before the final tenth of the horizon), applies it through the Scenario
-// layer with the invariant auditor installed, and then holds the run to a
+// before the final tenth of the horizon), runs it through wrtring::run_plan
+// with the invariant auditor installed, and then holds the run to a
 // recovery service-level objective:
 //
 //   * liveness   — at the horizon the SAT circulates, or the alive
@@ -195,9 +195,7 @@ SeedResult run_seed(std::uint64_t seed, const Options& options,
   check::InvariantAuditor auditor(engine);
   auditor.install(engine, 64);
 
-  wrtring::Scenario scenario;
-  scenario.apply_plan(plan);
-  (void)scenario.run(engine, topology, options.horizon_slots);
+  (void)wrtring::run_plan(plan, engine, topology, options.horizon_slots);
 
   // Liveness at the horizon: the plan healed every disturbance by 9/10 of
   // the horizon, so either the SAT circulates or no ring is possible.
@@ -338,9 +336,7 @@ FlapVariant run_flap_variant(std::uint64_t seed, const Options& options,
   check::InvariantAuditor auditor(engine);
   auditor.install(engine, 64);
 
-  wrtring::Scenario scenario;
-  scenario.apply_plan(plan);
-  (void)scenario.run(engine, topology, options.horizon_slots);
+  (void)wrtring::run_plan(plan, engine, topology, options.horizon_slots);
 
   // Liveness tail: the plan healed every flap by 9/10 of the horizon (and
   // WTR hold-offs may still be draining), so give the ring one analytic
