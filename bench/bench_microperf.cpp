@@ -6,6 +6,7 @@
 #include "bench/bench_gbench.hpp"
 #include "cdma/channel.hpp"
 #include "cdma/code_assignment.hpp"
+#include "ring/frame.hpp"
 #include "ring/virtual_ring.hpp"
 #include "sim/scheduler.hpp"
 #include "tpt/engine.hpp"
@@ -125,6 +126,23 @@ void BM_ChannelSlotResolution(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ChannelSlotResolution)->Arg(8)->Arg(32)->Arg(128);
+
+// One hop of the fidelity mode's wire check: a packet's slot header is
+// serialised (CRC appended) and re-parsed (CRC checked).
+void BM_FrameHeaderCodec(benchmark::State& state) {
+  traffic::Packet packet;
+  packet.flow = 9;
+  packet.cls = TrafficClass::kRealTime;
+  packet.src = 3;
+  packet.dst = 7;
+  for (auto _ : state) {
+    ++packet.sequence;
+    const auto decoded =
+        ring::decode_header(ring::encode_packet_header(packet));
+    benchmark::DoNotOptimize(decoded);
+  }
+}
+BENCHMARK(BM_FrameHeaderCodec);
 
 void BM_SchedulerChurn(benchmark::State& state) {
   sim::Scheduler scheduler;

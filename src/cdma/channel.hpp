@@ -14,9 +14,15 @@
 //
 // The channel is templated on the payload so each MAC keeps its own frame
 // type; the interference logic only depends on topology and codes.
+//
+// Cost: end_slot() resolves per transmission, walking only the sender's
+// hearers (the registered listeners that reachable(sender, ·) accepts), so a
+// slot costs O(T·deg) for T transmissions.  The hearer lists are a CSR built
+// lazily in end_slot() and rebuilt (O(N·L) reachable() calls) only when the
+// topology's version() changes, a listener's codes change, or the channel is
+// re-pointed at another topology.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -41,6 +47,7 @@ class Channel {
   void set_listen_codes(NodeId node, std::vector<CdmaCode> codes) {
     if (node >= listeners_.size()) listeners_.resize(node + 1);
     listeners_[node] = std::move(codes);
+    hearers_valid_ = false;
   }
 
   void begin_slot(Tick now) {
@@ -56,34 +63,52 @@ class Channel {
 
   /// Resolves all receptions for the current slot.  Returns the number of
   /// code collisions observed (same-code frames overlapping at a listener).
+  /// Each (listener, listen code) that exactly one reachable transmission
+  /// hits receives it; two or more hits are one collision.  A listener's
+  /// receptions come out in its listen-code order.
   std::size_t end_slot() {
     if (receptions_.size() < listeners_.size()) {
       receptions_.resize(listeners_.size());
     }
-    std::size_t collisions = 0;
-    for (NodeId node = 0; node < listeners_.size(); ++node) {
-      if (listeners_[node].empty() || !topology_->alive(node)) continue;
-      for (const CdmaCode code : listeners_[node]) {
-        const Reception* heard = nullptr;
-        bool collided = false;
-        for (const auto& tx : transmissions_) {
-          if (tx.code != code) continue;
-          if (!topology_->reachable(tx.sender, node)) continue;
-          if (heard != nullptr) {
-            collided = true;
-            break;
-          }
-          heard = &tx;
+    if (!hearers_valid_ || hearers_version_ != topology_->version()) {
+      rebuild_hearers();
+    }
+    for (std::uint32_t t = 0; t < transmissions_.size(); ++t) {
+      const NodeId sender = transmissions_[t].sender;
+      if (sender >= hearer_start_.size() - 1) continue;  // not in topology
+      const CdmaCode code = transmissions_[t].code;
+      for (std::uint32_t h = hearer_start_[sender];
+           h < hearer_start_[sender + 1]; ++h) {
+        const NodeId node = hearers_[h];
+        bool hit = false;
+        for (std::uint32_t k = listen_start_[node];
+             k < listen_start_[node + 1]; ++k) {
+          if (listen_codes_[k] != code) continue;
+          if (hits_[k]++ == 0) first_hit_[k] = t;
+          hit = true;
         }
-        if (collided) {
-          ++collisions;
-          total_collisions_ += 1;
-        } else if (heard != nullptr) {
-          receptions_[node].push_back(*heard);
-          total_deliveries_ += 1;
+        if (hit && !touched_[node]) {
+          touched_[node] = true;
+          touched_nodes_.push_back(node);
         }
       }
     }
+    std::size_t collisions = 0;
+    for (const NodeId node : touched_nodes_) {
+      touched_[node] = false;
+      for (std::uint32_t k = listen_start_[node]; k < listen_start_[node + 1];
+           ++k) {
+        if (hits_[k] > 1) {
+          ++collisions;
+          total_collisions_ += 1;
+        } else if (hits_[k] == 1) {
+          receptions_[node].push_back(transmissions_[first_hit_[k]]);
+          total_deliveries_ += 1;
+        }
+        hits_[k] = 0;
+      }
+    }
+    touched_nodes_.clear();
     return collisions;
   }
 
@@ -101,10 +126,44 @@ class Channel {
   }
   [[nodiscard]] Tick now() const noexcept { return now_; }
 
-  /// Re-points the channel at a (possibly replaced) topology.
-  void set_topology(const phy::Topology* topology) { topology_ = topology; }
+  /// Re-points the channel at a (possibly replaced) topology.  Always
+  /// invalidates the hearer lists: a different topology may carry the same
+  /// version() number.
+  void set_topology(const phy::Topology* topology) {
+    topology_ = topology;
+    hearers_valid_ = false;
+  }
 
  private:
+  /// Flattens the listen codes into listen_start_/listen_codes_ and lists,
+  /// for every sender in the topology, the listeners it reaches.
+  void rebuild_hearers() {
+    const std::size_t listener_count = listeners_.size();
+    listen_start_.assign(1, 0);
+    listen_codes_.clear();
+    for (const auto& codes : listeners_) {
+      listen_codes_.insert(listen_codes_.end(), codes.begin(), codes.end());
+      listen_start_.push_back(static_cast<std::uint32_t>(listen_codes_.size()));
+    }
+    hits_.assign(listen_codes_.size(), 0);
+    first_hit_.assign(listen_codes_.size(), 0);
+    touched_.assign(listener_count, false);
+
+    const std::size_t senders = topology_->node_count();
+    hearer_start_.assign(1, 0);
+    hearers_.clear();
+    for (NodeId sender = 0; sender < senders; ++sender) {
+      for (NodeId node = 0; node < listener_count; ++node) {
+        if (!listeners_[node].empty() && topology_->reachable(sender, node)) {
+          hearers_.push_back(node);
+        }
+      }
+      hearer_start_.push_back(static_cast<std::uint32_t>(hearers_.size()));
+    }
+    hearers_version_ = topology_->version();
+    hearers_valid_ = true;
+  }
+
   const phy::Topology* topology_;
   Tick now_ = 0;
   std::vector<Reception> transmissions_;
@@ -112,6 +171,19 @@ class Channel {
   std::vector<std::vector<CdmaCode>> listeners_;
   std::uint64_t total_collisions_ = 0;
   std::uint64_t total_deliveries_ = 0;
+
+  // Resolution cache, valid for topology_ at hearers_version_.
+  bool hearers_valid_ = false;
+  std::uint64_t hearers_version_ = 0;
+  std::vector<std::uint32_t> hearer_start_;  ///< CSR row starts, per sender
+  std::vector<NodeId> hearers_;
+  std::vector<std::uint32_t> listen_start_;  ///< CSR row starts, per listener
+  std::vector<CdmaCode> listen_codes_;
+  // Per-slot scratch, indexed like listen_codes_ (all zero between slots).
+  std::vector<std::uint32_t> hits_;
+  std::vector<std::uint32_t> first_hit_;  ///< transmission index of 1st hit
+  std::vector<bool> touched_;             ///< per listener
+  std::vector<NodeId> touched_nodes_;
 };
 
 }  // namespace wrt::cdma

@@ -103,6 +103,7 @@ std::string to_text(const FaultEvent& e) {
             << " dwell="
             << (e.ge.p_bad_to_good > 0.0 ? 1.0 / e.ge.p_bad_to_good : 1.0)
             << " bad=" << e.ge.loss_bad;
+        if (e.ge.loss_good > 0.0) out << " good=" << e.ge.loss_good;
       } else {
         // The form that parses back to a disabled (never-losing) override.
         out << " avg=0 dwell=1 bad=1";
@@ -197,6 +198,7 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
       double avg = 0.0;
       double dwell = 1.0;
       double bad = 1.0;
+      double good = 0.0;
       const auto status = read_params(
           tokens, line_no,
           [&](const std::string& key,
@@ -204,6 +206,7 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
             if (key == "avg") return parse_number(value, avg);
             if (key == "dwell") return parse_number(value, dwell);
             if (key == "bad") return parse_number(value, bad);
+            if (key == "good") return parse_number(value, good);
             return std::nullopt;
           });
       if (!status.ok()) return status.error();
@@ -213,15 +216,35 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& text) {
       if (avg < 0.0 || avg > 1.0) {
         return parse_error(line_no, "avg must be in [0, 1]");
       }
-      if (bad <= 0.0 || bad > 1.0) {
-        return parse_error(line_no, "bad must be in (0, 1]");
+      if (good != 0.0) {
+        // The Good state loses too (GeParams::iid(p) is good=p with no
+        // visits to Bad): avg = (1 - pi_b) * good + pi_b * bad.
+        if (good < 0.0 || good >= 1.0) {
+          return parse_error(line_no, "good must be in [0, 1)");
+        }
+        if (bad < 0.0 || bad > 1.0) {
+          return parse_error(line_no, "bad must be in [0, 1]");
+        }
+        const double pi_b = avg == good ? 0.0 : (avg - good) / (bad - good);
+        if (!(pi_b >= 0.0 && pi_b < 1.0)) {
+          return parse_error(line_no, "avg must lie between good and bad");
+        }
+        event.ge.loss_good = good;
+        event.ge.loss_bad = bad;
+        event.ge.p_bad_to_good = 1.0 / std::max(dwell, 1.0);
+        event.ge.p_good_to_bad =
+            std::min(pi_b * event.ge.p_bad_to_good / (1.0 - pi_b), 1.0);
+      } else {
+        if (bad <= 0.0 || bad > 1.0) {
+          return parse_error(line_no, "bad must be in (0, 1]");
+        }
+        if (avg > bad) {
+          return parse_error(line_no,
+                             "avg exceeds bad: stationary loss cannot exceed "
+                             "the bad-state loss rate");
+        }
+        event.ge = GeParams::bursty(avg, dwell, bad);
       }
-      if (avg > bad) {
-        return parse_error(line_no,
-                           "avg exceeds bad: stationary loss cannot exceed "
-                           "the bad-state loss rate");
-      }
-      event.ge = GeParams::bursty(avg, dwell, bad);
       if (const auto valid = event.ge.validate(); !valid.ok()) {
         return parse_error(line_no, valid.error().message);
       }

@@ -20,7 +20,7 @@
 //   @<slot> stall <node>
 //   @<slot> resume <node>
 //   @<slot> leave <node>
-//   @<slot> link-degrade <a> <b> avg=<p> dwell=<offers> [bad=<p>]
+//   @<slot> link-degrade <a> <b> avg=<p> dwell=<offers> [bad=<p>] [good=<p>]
 //   @<slot> link-break <a> <b>
 //   @<slot> link-heal <a> <b>
 //   @<slot> partition <node>... | <node>... [| ...]
@@ -32,6 +32,11 @@
 //   @<slot> force-switch <node>
 //   @<slot> clear-switch <node>
 //   @<slot> mark <label...>
+//
+// `good` is the loss rate in the Good state.  Without it (or with good=0)
+// the link is a GeParams::bursty(avg, dwell, bad) chain whose Good state is
+// loss-free.  With it, `bad` may be 0 and `avg` must lie between good and
+// bad; GeParams::iid(p) prints as `avg=p dwell=1 bad=0 good=p`.
 //
 // Numbers are whole tokens: no trailing characters, no sign on unsigned
 // fields, no node id beyond NodeId, no non-finite value.  A fixed-arity

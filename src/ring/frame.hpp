@@ -42,7 +42,8 @@ struct FrameHeader {
   friend bool operator==(const FrameHeader&, const FrameHeader&) = default;
 };
 
-/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
+/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), one 256-entry table
+/// lookup per byte.
 [[nodiscard]] std::uint16_t crc16_ccitt(const std::uint8_t* data,
                                         std::size_t length);
 

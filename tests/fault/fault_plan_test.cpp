@@ -157,6 +157,59 @@ TEST(FaultPlan, ZeroAverageDegradeRoundTrips) {
   EXPECT_FALSE(reparsed.value().events[0].ge.enabled());
 }
 
+TEST(FaultPlan, IidDegradeRoundTrips) {
+  // An i.i.d. link (loss only in the Good state) added in code must print
+  // in a form that parses back to the same chain.
+  FaultPlan plan;
+  FaultEvent degrade;
+  degrade.slot = 10;
+  degrade.kind = FaultKind::kLinkDegrade;
+  degrade.a = 1;
+  degrade.b = 2;
+  degrade.ge = GeParams::iid(0.1);
+  plan.add(degrade);
+  const std::string text = plan.to_text();
+  EXPECT_EQ(text, "@10 link-degrade 1 2 avg=0.1 dwell=1 bad=0 good=0.1\n");
+  const auto reparsed = FaultPlan::parse(text);
+  ASSERT_TRUE(reparsed.ok()) << text << ": " << reparsed.error().message;
+  EXPECT_EQ(reparsed.value().to_text(), text);
+  const GeParams& ge = reparsed.value().events[0].ge;
+  EXPECT_EQ(ge.loss_good, 0.1);
+  EXPECT_EQ(ge.loss_bad, 0.0);
+  EXPECT_EQ(ge.p_good_to_bad, 0.0);
+  EXPECT_EQ(ge.p_bad_to_good, 1.0);
+}
+
+TEST(FaultPlan, GoodStateLossWithBurstsRoundTrips) {
+  const auto plan = FaultPlan::parse(
+      "@10 link-degrade 1 2 avg=0.2 dwell=4 bad=0.8 good=0.05\n");
+  ASSERT_TRUE(plan.ok()) << plan.error().message;
+  const GeParams& ge = plan.value().events[0].ge;
+  EXPECT_EQ(ge.loss_good, 0.05);
+  EXPECT_EQ(ge.loss_bad, 0.8);
+  EXPECT_EQ(ge.p_bad_to_good, 0.25);
+  EXPECT_NEAR(ge.average_loss(), 0.2, 1e-12);
+  const std::string text = plan.value().to_text();
+  const auto reparsed = FaultPlan::parse(text);
+  ASSERT_TRUE(reparsed.ok()) << text << ": " << reparsed.error().message;
+  EXPECT_EQ(reparsed.value().to_text(), text);
+}
+
+TEST(FaultPlan, ParseRejectsBadGoodStateLoss) {
+  // good must be below 1, and avg must lie between good and bad.
+  EXPECT_FALSE(FaultPlan::parse("@1 link-degrade 1 2 avg=1 bad=1 good=1").ok());
+  EXPECT_FALSE(
+      FaultPlan::parse("@1 link-degrade 1 2 avg=0.1 bad=0 good=-0.1").ok());
+  EXPECT_FALSE(
+      FaultPlan::parse("@1 link-degrade 1 2 avg=0.05 bad=0.5 good=0.1").ok());
+  EXPECT_FALSE(
+      FaultPlan::parse("@1 link-degrade 1 2 avg=0.6 bad=0.5 good=0.1").ok());
+  EXPECT_FALSE(
+      FaultPlan::parse("@1 link-degrade 1 2 avg=0.2 bad=0.1 good=0.1").ok());
+  // Without good, a loss-free Bad state is still refused.
+  EXPECT_FALSE(FaultPlan::parse("@1 link-degrade 1 2 avg=0.1 bad=0").ok());
+}
+
 TEST(FaultPlan, ParseRejectsTrailingJunkInNumbers) {
   EXPECT_FALSE(FaultPlan::parse("@10 link-degrade 1 2 avg=0.05xyz").ok());
   EXPECT_FALSE(FaultPlan::parse("@10x crash 3").ok());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace wrt::ring {
@@ -102,6 +104,39 @@ TEST(Crc16, KnownVector) {
   // CRC-16/CCITT-FALSE("123456789") = 0x29B1.
   const std::uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc16_ccitt(data, sizeof data), 0x29B1);
+}
+
+// The bit-serial CRC-16/CCITT-FALSE the table-driven crc16_ccitt must
+// reproduce: shift each byte in MSB first, xor 0x1021 on a carry.
+std::uint16_t crc16_bitwise(const std::uint8_t* data, std::size_t length) {
+  std::uint16_t crc = 0xFFFF;
+  for (std::size_t i = 0; i < length; ++i) {
+    crc ^= static_cast<std::uint16_t>(data[i]) << 8;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 0x8000) != 0
+                ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+                : static_cast<std::uint16_t>(crc << 1);
+    }
+  }
+  return crc;
+}
+
+TEST(Crc16, EmptyBufferIsInitValue) {
+  EXPECT_EQ(crc16_ccitt(nullptr, 0), 0xFFFF);
+}
+
+TEST(Crc16, TableMatchesBitSerialOnRandomBuffers) {
+  util::RngStream rng(16);
+  std::vector<std::uint8_t> buffer;
+  for (std::size_t length = 0; length <= 64; ++length) {
+    for (int trial = 0; trial < 64; ++trial) {
+      buffer.resize(length);
+      for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.bits());
+      ASSERT_EQ(crc16_ccitt(buffer.data(), length),
+                crc16_bitwise(buffer.data(), length))
+          << "length " << length << " trial " << trial;
+    }
+  }
 }
 
 }  // namespace
