@@ -106,6 +106,20 @@ void BM_CodeAssignmentGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_CodeAssignmentGreedy)->Arg(16)->Arg(64)->Arg(256);
 
+// The same assignment on a topology mutated before every pass, so each
+// pass also pays the adjacency rebuild: the cost on a fresh topology.
+void BM_CodeAssignmentGreedyCold(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  phy::Topology topology = bench::ring_room(n);
+  const phy::Vec2 anchor = topology.position(0);
+  for (auto _ : state) {
+    topology.set_position(0, anchor);  // bumps version()
+    auto codes = cdma::assign_greedy_two_hop(topology);
+    benchmark::DoNotOptimize(codes);
+  }
+}
+BENCHMARK(BM_CodeAssignmentGreedyCold)->Arg(16)->Arg(64)->Arg(256);
+
 void BM_ChannelSlotResolution(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   phy::Topology topology = bench::ring_room(n);

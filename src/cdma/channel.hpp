@@ -16,11 +16,9 @@
 // type; the interference logic only depends on topology and codes.
 //
 // Cost: end_slot() resolves per transmission, walking only the sender's
-// hearers (the registered listeners that reachable(sender, ·) accepts), so a
-// slot costs O(T·deg) for T transmissions.  The hearer lists are a CSR built
-// lazily in end_slot() and rebuilt (O(N·L) reachable() calls) only when the
-// topology's version() changes, a listener's codes change, or the channel is
-// re-pointed at another topology.
+// neighbour list (phy::Topology owns and caches it), so a slot costs
+// O(T·deg) for T transmissions.  The channel keeps only the listen codes,
+// flattened into a CSR rebuilt after set_listen_codes().
 #pragma once
 
 #include <cstdint>
@@ -47,7 +45,7 @@ class Channel {
   void set_listen_codes(NodeId node, std::vector<CdmaCode> codes) {
     if (node >= listeners_.size()) listeners_.resize(node + 1);
     listeners_[node] = std::move(codes);
-    hearers_valid_ = false;
+    listen_codes_valid_ = false;
   }
 
   void begin_slot(Tick now) {
@@ -70,16 +68,14 @@ class Channel {
     if (receptions_.size() < listeners_.size()) {
       receptions_.resize(listeners_.size());
     }
-    if (!hearers_valid_ || hearers_version_ != topology_->version()) {
-      rebuild_hearers();
-    }
+    if (!listen_codes_valid_) rebuild_listen_codes();
+    const std::size_t listener_count = listen_start_.size() - 1;
     for (std::uint32_t t = 0; t < transmissions_.size(); ++t) {
       const NodeId sender = transmissions_[t].sender;
-      if (sender >= hearer_start_.size() - 1) continue;  // not in topology
       const CdmaCode code = transmissions_[t].code;
-      for (std::uint32_t h = hearer_start_[sender];
-           h < hearer_start_[sender + 1]; ++h) {
-        const NodeId node = hearers_[h];
+      // Ascending ids: past the last registered listener nobody else hears.
+      for (const NodeId node : topology_->neighbors(sender)) {
+        if (node >= listener_count) break;
         bool hit = false;
         for (std::uint32_t k = listen_start_[node];
              k < listen_start_[node + 1]; ++k) {
@@ -126,19 +122,12 @@ class Channel {
   }
   [[nodiscard]] Tick now() const noexcept { return now_; }
 
-  /// Re-points the channel at a (possibly replaced) topology.  Always
-  /// invalidates the hearer lists: a different topology may carry the same
-  /// version() number.
-  void set_topology(const phy::Topology* topology) {
-    topology_ = topology;
-    hearers_valid_ = false;
-  }
+  /// Re-points the channel at a (possibly replaced) topology.
+  void set_topology(const phy::Topology* topology) { topology_ = topology; }
 
  private:
-  /// Flattens the listen codes into listen_start_/listen_codes_ and lists,
-  /// for every sender in the topology, the listeners it reaches.
-  void rebuild_hearers() {
-    const std::size_t listener_count = listeners_.size();
+  /// Flattens the listen codes into listen_start_/listen_codes_.
+  void rebuild_listen_codes() {
     listen_start_.assign(1, 0);
     listen_codes_.clear();
     for (const auto& codes : listeners_) {
@@ -147,21 +136,8 @@ class Channel {
     }
     hits_.assign(listen_codes_.size(), 0);
     first_hit_.assign(listen_codes_.size(), 0);
-    touched_.assign(listener_count, false);
-
-    const std::size_t senders = topology_->node_count();
-    hearer_start_.assign(1, 0);
-    hearers_.clear();
-    for (NodeId sender = 0; sender < senders; ++sender) {
-      for (NodeId node = 0; node < listener_count; ++node) {
-        if (!listeners_[node].empty() && topology_->reachable(sender, node)) {
-          hearers_.push_back(node);
-        }
-      }
-      hearer_start_.push_back(static_cast<std::uint32_t>(hearers_.size()));
-    }
-    hearers_version_ = topology_->version();
-    hearers_valid_ = true;
+    touched_.assign(listeners_.size(), false);
+    listen_codes_valid_ = true;
   }
 
   const phy::Topology* topology_;
@@ -172,11 +148,7 @@ class Channel {
   std::uint64_t total_collisions_ = 0;
   std::uint64_t total_deliveries_ = 0;
 
-  // Resolution cache, valid for topology_ at hearers_version_.
-  bool hearers_valid_ = false;
-  std::uint64_t hearers_version_ = 0;
-  std::vector<std::uint32_t> hearer_start_;  ///< CSR row starts, per sender
-  std::vector<NodeId> hearers_;
+  bool listen_codes_valid_ = false;
   std::vector<std::uint32_t> listen_start_;  ///< CSR row starts, per listener
   std::vector<CdmaCode> listen_codes_;
   // Per-slot scratch, indexed like listen_codes_ (all zero between slots).

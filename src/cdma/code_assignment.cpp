@@ -7,37 +7,57 @@ namespace wrt::cdma {
 
 std::vector<NodeId> two_hop_neighbors(const phy::Topology& topology,
                                       NodeId node) {
-  std::set<NodeId> result;
+  std::vector<NodeId> result;
   for (const NodeId n1 : topology.neighbors(node)) {
-    result.insert(n1);
+    result.push_back(n1);
     for (const NodeId n2 : topology.neighbors(n1)) {
-      if (n2 != node) result.insert(n2);
+      if (n2 != node) result.push_back(n2);
     }
   }
-  return {result.begin(), result.end()};
+  std::sort(result.begin(), result.end());
+  result.erase(std::unique(result.begin(), result.end()), result.end());
+  return result;
 }
 
 namespace {
 
-/// Smallest code >= 1 not present in `used`.
-CdmaCode smallest_free(const std::set<CdmaCode>& used) {
+/// Codes held within two hops of `node` (not counting its own), sorted.
+std::vector<CdmaCode> codes_in_use_near(const phy::Topology& topology,
+                                        const CodeMap& codes, NodeId node) {
+  std::vector<CdmaCode> used;
+  for (const NodeId other : two_hop_neighbors(topology, node)) {
+    if (other < codes.size() && codes[other] != kInvalidCode) {
+      used.push_back(codes[other]);
+    }
+  }
+  std::sort(used.begin(), used.end());
+  return used;
+}
+
+/// Smallest code >= 1 absent from the sorted list `used`.
+CdmaCode smallest_absent(const std::vector<CdmaCode>& used) {
   CdmaCode code = 1;
-  while (used.contains(code)) ++code;
+  for (const CdmaCode taken : used) {
+    if (taken > code) break;    // smallest free code found
+    if (taken == code) ++code;  // duplicates just re-test `code`
+  }
   return code;
 }
 
 }  // namespace
 
+CdmaCode smallest_free_code(const phy::Topology& topology,
+                            const CodeMap& codes, NodeId node) {
+  return smallest_absent(codes_in_use_near(topology, codes, node));
+}
+
 CodeMap assign_greedy_two_hop(const phy::Topology& topology) {
   const auto n = topology.node_count();
   CodeMap codes(n, kInvalidCode);
   for (NodeId node = 0; node < n; ++node) {
-    if (!topology.alive(node)) continue;
-    std::set<CdmaCode> used;
-    for (const NodeId other : two_hop_neighbors(topology, node)) {
-      if (codes[other] != kInvalidCode) used.insert(codes[other]);
+    if (topology.alive(node)) {
+      codes[node] = smallest_free_code(topology, codes, node);
     }
-    codes[node] = smallest_free(used);
   }
   return codes;
 }
@@ -63,13 +83,11 @@ CodeMap assign_distributed(const phy::Topology& topology, std::uint64_t seed,
     ++rounds;
     rng.shuffle(order);
     for (const NodeId node : order) {
-      std::set<CdmaCode> used;
-      for (const NodeId other : two_hop_neighbors(topology, node)) {
-        if (codes[other] != kInvalidCode) used.insert(codes[other]);
-      }
+      const std::vector<CdmaCode> used =
+          codes_in_use_near(topology, codes, node);
       // A node keeps its code unless a 2-hop neighbour holds the same one.
-      if (!used.contains(codes[node])) continue;
-      codes[node] = smallest_free(used);
+      if (!std::binary_search(used.begin(), used.end(), codes[node])) continue;
+      codes[node] = smallest_absent(used);
       changed = true;
     }
   }

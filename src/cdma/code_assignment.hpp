@@ -30,6 +30,12 @@ namespace wrt::cdma {
 /// (kBroadcastCode = 0 is reserved).
 using CodeMap = std::vector<CdmaCode>;
 
+/// The smallest code >= 1 that no node within two hops of `node` holds in
+/// `codes` (ids beyond `codes` and kInvalidCode entries hold nothing).  The
+/// one colouring rule behind both assignments below and a joiner's code.
+[[nodiscard]] CdmaCode smallest_free_code(const phy::Topology& topology,
+                                          const CodeMap& codes, NodeId node);
+
 /// Greedy distance-2 colouring in node-id order.
 [[nodiscard]] CodeMap assign_greedy_two_hop(const phy::Topology& topology);
 

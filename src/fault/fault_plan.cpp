@@ -451,33 +451,20 @@ FaultPlan FaultPlan::random(std::uint64_t seed,
         alive.push_back(node);
         break;
       }
-      case kChDegrade: {
-        event.kind = FaultKind::kLinkDegrade;
-        event.a = static_cast<NodeId>(
-            rng.uniform_int(static_cast<std::uint64_t>(options.n_stations)));
-        do {
-          event.b = static_cast<NodeId>(rng.uniform_int(
-              static_cast<std::uint64_t>(options.n_stations)));
-        } while (event.b == event.a);
-        event.ge = GeParams::bursty(
-            rng.uniform(0.05, 0.3),
-            static_cast<double>(rng.uniform_int(2, 64)));
-        FaultEvent heal;
-        heal.kind = FaultKind::kLinkHeal;
-        heal.a = event.a;
-        heal.b = event.b;
-        heal.slot = rng.uniform_int(slot + 1, settle);
-        plan.add(std::move(heal));
-        break;
-      }
+      case kChDegrade:
       case kChBreak: {
-        event.kind = FaultKind::kLinkBreak;
-        event.a = static_cast<NodeId>(
-            rng.uniform_int(static_cast<std::uint64_t>(options.n_stations)));
+        event.kind = choice == kChDegrade ? FaultKind::kLinkDegrade
+                                          : FaultKind::kLinkBreak;
+        const auto n = static_cast<std::uint64_t>(options.n_stations);
+        event.a = static_cast<NodeId>(rng.uniform_int(n));
         do {
-          event.b = static_cast<NodeId>(rng.uniform_int(
-              static_cast<std::uint64_t>(options.n_stations)));
+          event.b = static_cast<NodeId>(rng.uniform_int(n));
         } while (event.b == event.a);
+        if (choice == kChDegrade) {
+          event.ge = GeParams::bursty(
+              rng.uniform(0.05, 0.3),
+              static_cast<double>(rng.uniform_int(2, 64)));
+        }
         FaultEvent heal;
         heal.kind = FaultKind::kLinkHeal;
         heal.a = event.a;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
-#include <queue>
 #include <stdexcept>
 
 namespace wrt::phy {
@@ -35,6 +34,8 @@ void Topology::set_position(NodeId node, Vec2 pos) {
 NodeId Topology::add_node(Vec2 pos) {
   positions_.push_back(pos);
   alive_.push_back(true);
+  // A node added under a partition joins the implicit group 0.
+  if (partitioned()) partition_group_.push_back(0);
   ++version_;
   return static_cast<NodeId>(positions_.size() - 1);
 }
@@ -92,48 +93,53 @@ bool Topology::reachable(NodeId a, NodeId b) const {
   return distance(positions_[a], positions_[b]) <= effective_range(a, b);
 }
 
-std::vector<NodeId> Topology::neighbors(NodeId node) const {
-  std::vector<NodeId> result;
-  for (NodeId other = 0; other < positions_.size(); ++other) {
-    if (reachable(node, other)) result.push_back(other);
+void Topology::rebuild_adjacency() const {
+  const std::size_t n = positions_.size();
+  adjacency_.resize(n);
+  for (auto& list : adjacency_) list.clear();
+  // reachable() is symmetric, so one i < j pass fills both ends; pushing in
+  // this order keeps every list ascending.
+  for (NodeId a = 0; a < n; ++a) {
+    if (!alive_[a]) continue;
+    for (NodeId b = a + 1; b < n; ++b) {
+      if (reachable(a, b)) {
+        adjacency_[a].push_back(b);
+        adjacency_[b].push_back(a);
+      }
+    }
   }
-  return result;
+  // Flooding from each unseen alive node in id order yields the groups
+  // ordered by their smallest member.
+  components_.clear();
+  std::vector<bool> seen(n, false);
+  for (NodeId start = 0; start < n; ++start) {
+    if (seen[start] || !alive_[start]) continue;
+    std::vector<NodeId> group{start};
+    seen[start] = true;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      for (const NodeId v : adjacency_[group[i]]) {
+        if (!seen[v]) {
+          seen[v] = true;
+          group.push_back(v);
+        }
+      }
+    }
+    std::sort(group.begin(), group.end());
+    components_.push_back(std::move(group));
+  }
+  adjacency_version_ = version_;
+}
+
+const std::vector<std::vector<NodeId>>& Topology::components() const {
+  if (adjacency_version_ != version_) rebuild_adjacency();
+  return components_;
 }
 
 bool Topology::hidden_pair(NodeId a, NodeId c, NodeId receiver) const {
   return reachable(a, receiver) && reachable(c, receiver) && !reachable(a, c);
 }
 
-bool Topology::connected() const {
-  const std::size_t n = positions_.size();
-  std::size_t alive_count = 0;
-  NodeId start = kInvalidNode;
-  for (NodeId i = 0; i < n; ++i) {
-    if (alive_[i]) {
-      ++alive_count;
-      if (start == kInvalidNode) start = i;
-    }
-  }
-  if (alive_count <= 1) return true;
-
-  std::vector<bool> seen(n, false);
-  std::queue<NodeId> frontier;
-  frontier.push(start);
-  seen[start] = true;
-  std::size_t visited = 1;
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (NodeId v = 0; v < n; ++v) {
-      if (!seen[v] && reachable(u, v)) {
-        seen[v] = true;
-        ++visited;
-        frontier.push(v);
-      }
-    }
-  }
-  return visited == alive_count;
-}
+bool Topology::connected() const { return components().size() <= 1; }
 
 bool Topology::min_degree_at_least(std::size_t min_degree) const {
   for (NodeId i = 0; i < positions_.size(); ++i) {

@@ -6,6 +6,11 @@
 // unit-disk radio over 2-D positions reproduces exactly that structure:
 // i and j are neighbours iff distance(i, j) <= range.  Link failure
 // injection lets tests and the recovery benches break specific links.
+//
+// Topology is the one owner of "who hears whom": neighbour lists and
+// connected components are derived here, cached, and rebuilt lazily on the
+// first query after version() changes.  The cache is filled from const
+// accessors, so a Topology must be used by one thread at a time.
 #pragma once
 
 #include <set>
@@ -58,7 +63,8 @@ class Topology {
   /// Splits the network into isolated groups (a wall slides in / the
   /// spectrum is jammed between rooms): nodes in different groups are
   /// unreachable regardless of distance until clear_partition().  Nodes not
-  /// named in any group share an implicit group of their own.
+  /// named in any group, including nodes added later, share an implicit
+  /// group of their own.
   void set_partition(const std::vector<std::vector<NodeId>>& groups);
   void clear_partition() {
     partition_group_.clear();
@@ -71,8 +77,17 @@ class Topology {
   /// True iff a and b can communicate over a single hop right now.
   [[nodiscard]] bool reachable(NodeId a, NodeId b) const;
 
-  /// All current one-hop neighbours of `node`.
-  [[nodiscard]] std::vector<NodeId> neighbors(NodeId node) const;
+  /// All current one-hop neighbours of `node`, ascending; empty for an
+  /// unknown id.  The reference stays valid until the next mutator.
+  [[nodiscard]] const std::vector<NodeId>& neighbors(NodeId node) const {
+    static const std::vector<NodeId> kNone;
+    if (adjacency_version_ != version_) rebuild_adjacency();
+    return node < adjacency_.size() ? adjacency_[node] : kNone;
+  }
+
+  /// Connected components of the alive subgraph: each group ascending,
+  /// groups ordered by their smallest member.  Valid until the next mutator.
+  [[nodiscard]] const std::vector<std::vector<NodeId>>& components() const;
 
   /// Hidden-terminal test: c is hidden from a w.r.t. receiver b when both
   /// a and c reach b but a and c do not reach each other.
@@ -95,6 +110,8 @@ class Topology {
 
  private:
   [[nodiscard]] double effective_range(NodeId a, NodeId b) const;
+  /// Recomputes adjacency_ and components_ for the current version_.
+  void rebuild_adjacency() const;
 
   std::vector<Vec2> positions_;
   std::vector<bool> alive_;
@@ -103,6 +120,11 @@ class Topology {
   std::vector<std::int32_t> partition_group_;  ///< empty = no partition
   std::uint64_t seed_;
   std::uint64_t version_ = 0;
+
+  // Derived from the state above at adjacency_version_.
+  mutable std::uint64_t adjacency_version_ = ~std::uint64_t{0};
+  mutable std::vector<std::vector<NodeId>> adjacency_;
+  mutable std::vector<std::vector<NodeId>> components_;
 };
 
 /// Deterministic placements used across tests/benches/examples.

@@ -83,6 +83,8 @@ class HamiltonianSearch {
 
   [[nodiscard]] bool run(std::vector<NodeId>& cycle_out) {
     if (nodes_.size() < 3) return false;
+    is_member_.assign(topology_.node_count(), false);
+    for (const NodeId n : nodes_) is_member_[n] = true;
     path_.clear();
     in_path_.assign(topology_.node_count(), false);
     path_.push_back(nodes_.front());
@@ -102,7 +104,7 @@ class HamiltonianSearch {
     const NodeId tail = path_.back();
     std::vector<NodeId> candidates;
     for (const NodeId n : topology_.neighbors(tail)) {
-      if (!in_path_[n] && is_candidate(n)) candidates.push_back(n);
+      if (!in_path_[n] && is_member_[n]) candidates.push_back(n);
     }
     // Fewest-onward-moves first.
     std::sort(candidates.begin(), candidates.end(),
@@ -119,10 +121,6 @@ class HamiltonianSearch {
     return false;
   }
 
-  [[nodiscard]] bool is_candidate(NodeId n) const {
-    return std::find(nodes_.begin(), nodes_.end(), n) != nodes_.end();
-  }
-
   [[nodiscard]] std::size_t free_degree(NodeId n) const {
     std::size_t degree = 0;
     for (const NodeId m : topology_.neighbors(n)) {
@@ -134,6 +132,7 @@ class HamiltonianSearch {
   const phy::Topology& topology_;
   std::vector<NodeId> nodes_;
   std::size_t budget_;
+  std::vector<bool> is_member_;
   std::vector<NodeId> path_;
   std::vector<bool> in_path_;
 };
@@ -150,29 +149,13 @@ util::Result<VirtualRing> build_ring(const phy::Topology& topology,
 }
 
 std::vector<NodeId> largest_component(const phy::Topology& topology) {
-  const std::size_t n = topology.node_count();
-  std::vector<bool> seen(n, false);
-  std::vector<NodeId> best;
-  for (NodeId start = 0; start < n; ++start) {
-    if (seen[start] || !topology.alive(start)) continue;
-    std::vector<NodeId> component;
-    std::vector<NodeId> frontier{start};
-    seen[start] = true;
-    while (!frontier.empty()) {
-      const NodeId u = frontier.back();
-      frontier.pop_back();
-      component.push_back(u);
-      for (const NodeId v : topology.neighbors(u)) {
-        if (!seen[v]) {
-          seen[v] = true;
-          frontier.push_back(v);
-        }
-      }
-    }
-    if (component.size() > best.size()) best = std::move(component);
-  }
-  std::sort(best.begin(), best.end());
-  return best;
+  const auto& groups = topology.components();
+  // max_element keeps the first of equals: the tie goes to the group with
+  // the smallest member.
+  const auto largest = std::max_element(
+      groups.begin(), groups.end(),
+      [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  return largest == groups.end() ? std::vector<NodeId>{} : *largest;
 }
 
 util::Result<VirtualRing> build_ring_over(const phy::Topology& topology,

@@ -81,7 +81,8 @@ class VirtualRing {
     const phy::Topology& topology, std::vector<NodeId> members,
     std::size_t backtrack_budget = 200000);
 
-/// The largest connected component of the alive subgraph.
+/// The largest connected component of the alive subgraph, ascending; of
+/// equal-sized components the one with the smallest member.
 [[nodiscard]] std::vector<NodeId> largest_component(
     const phy::Topology& topology);
 

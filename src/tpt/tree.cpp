@@ -23,9 +23,7 @@ util::Result<Tree> Tree::build(const phy::Topology& topology, NodeId root) {
   while (!frontier.empty()) {
     const NodeId u = frontier.front();
     frontier.pop();
-    std::vector<NodeId> neighbors = topology.neighbors(u);
-    std::sort(neighbors.begin(), neighbors.end());
-    for (const NodeId v : neighbors) {
+    for (const NodeId v : topology.neighbors(u)) {
       if (seen[v]) continue;
       seen[v] = true;
       tree.parent_[v] = u;

@@ -170,22 +170,6 @@ std::int32_t Engine::bound_position(Bound& bound) {
   return bound.position;
 }
 
-CdmaCode Engine::allocate_code_for(NodeId node) const {
-  std::vector<CdmaCode> used;
-  for (const NodeId other : cdma::two_hop_neighbors(*topology_, node)) {
-    if (other < codes_.size() && codes_[other] != kInvalidCode) {
-      used.push_back(codes_[other]);
-    }
-  }
-  std::sort(used.begin(), used.end());
-  CdmaCode code = 1;
-  for (const CdmaCode taken : used) {
-    if (taken > code) break;      // smallest free code found
-    if (taken == code) ++code;    // duplicates in `used` just re-test `code`
-  }
-  return code;
-}
-
 Station Engine::station(NodeId node) const {
   const std::int32_t position = station_position(node);
   if (position < 0) {
@@ -1674,7 +1658,7 @@ void Engine::complete_join(NodeId joiner, NodeId ingress) {
     fsm_.record_revert_outcome(joiner, revert_anchor, membership_epoch_);
   }
   if (codes_.size() <= joiner) codes_.resize(joiner + 1, kInvalidCode);
-  codes_[joiner] = allocate_code_for(joiner);
+  codes_[joiner] = cdma::smallest_free_code(*topology_, codes_, joiner);
   reset_data_plane();
   if (channel_) {
     channel_->set_listen_codes(joiner, {codes_[joiner], kBroadcastCode});

@@ -489,7 +489,6 @@ class WRT_SHARD_CONFINED Engine final {
   [[nodiscard]] std::int64_t effective_sat_timeout(NodeId node) const;
   [[nodiscard]] Quota quota_for_position(std::size_t position) const;
   void record_rotation(std::size_t position, Tick arrival);
-  [[nodiscard]] CdmaCode allocate_code_for(NodeId node) const;
   void assign_codes();
   void deliver(LinkFrame& frame, NodeId at);
   [[nodiscard]] bool data_allowed() const noexcept;

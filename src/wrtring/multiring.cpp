@@ -1,7 +1,6 @@
 #include "wrtring/multiring.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "ring/virtual_ring.hpp"
 #include "util/log.hpp"
@@ -33,6 +32,8 @@ MultiRingCoordinator::MultiRingCoordinator(phy::Topology* topology,
 void MultiRingCoordinator::form_rings_over(std::vector<NodeId> component) {
   std::vector<NodeId> group = std::move(component);
   std::vector<NodeId> peeled;
+  std::vector<bool> in_group(topology_->node_count(), false);
+  for (const NodeId member : group) in_group[member] = true;
   while (group.size() >= 3) {
     if (ring::build_ring_over(*topology_, group).ok()) {
       Config ring_config = config_;
@@ -48,7 +49,6 @@ void MultiRingCoordinator::form_rings_over(std::vector<NodeId> component) {
             [this, index](NodeId node, bool joined) {
               on_membership_change(index, node, joined);
             });
-        memberships_.push_back(group);
         engines_.push_back(std::move(engine));
         if (!peeled.empty()) form_rings_over(std::move(peeled));
         return;
@@ -58,11 +58,10 @@ void MultiRingCoordinator::form_rings_over(std::vector<NodeId> component) {
     // Hamiltonicity blocker — and retry with the rest.
     std::size_t worst_index = 0;
     std::size_t worst_degree = ~std::size_t{0};
-    const std::set<NodeId> in_group(group.begin(), group.end());
     for (std::size_t i = 0; i < group.size(); ++i) {
       std::size_t degree = 0;
       for (const NodeId neighbor : topology_->neighbors(group[i])) {
-        if (in_group.contains(neighbor)) ++degree;
+        if (in_group[neighbor]) ++degree;
       }
       if (degree < worst_degree) {
         worst_degree = degree;
@@ -70,6 +69,7 @@ void MultiRingCoordinator::form_rings_over(std::vector<NodeId> component) {
       }
     }
     peeled.push_back(group[worst_index]);
+    in_group[group[worst_index]] = false;
     group.erase(group.begin() + static_cast<std::ptrdiff_t>(worst_index));
   }
   unserved_.insert(unserved_.end(), group.begin(), group.end());
@@ -77,26 +77,10 @@ void MultiRingCoordinator::form_rings_over(std::vector<NodeId> component) {
 }
 
 util::Status MultiRingCoordinator::init() {
-  // Enumerate connected components of the alive graph.
-  std::vector<bool> seen(topology_->node_count(), false);
-  for (NodeId start = 0; start < topology_->node_count(); ++start) {
-    if (seen[start] || !topology_->alive(start)) continue;
-    std::vector<NodeId> component;
-    std::vector<NodeId> frontier{start};
-    seen[start] = true;
-    while (!frontier.empty()) {
-      const NodeId u = frontier.back();
-      frontier.pop_back();
-      component.push_back(u);
-      for (const NodeId v : topology_->neighbors(u)) {
-        if (!seen[v]) {
-          seen[v] = true;
-          frontier.push_back(v);
-        }
-      }
-    }
-    std::sort(component.begin(), component.end());
-    form_rings_over(std::move(component));
+  // Copied: the ring engines built below hold the topology mutably.
+  const std::vector<std::vector<NodeId>> components = topology_->components();
+  for (const std::vector<NodeId>& component : components) {
+    form_rings_over(component);
   }
   std::sort(unserved_.begin(), unserved_.end());
   util::log(util::LogLevel::kInfo,

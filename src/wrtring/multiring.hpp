@@ -53,8 +53,8 @@ class MultiRingCoordinator {
   /// The ring engine serving `node`, or nullptr when the node is unserved.
   /// O(log rings-total-members): answered from a membership index that is
   /// kept current by the engines' membership callbacks (the coordinator
-  /// owns the callback slot of every engine it creates) — federation
-  /// routing calls this on every crossing, so no linear engine scan.
+  /// owns the callback slot of every engine it creates), not by scanning
+  /// the engines.
   [[nodiscard]] Engine* ring_of(NodeId node);
 
   /// Stations alive but in no ring.
@@ -84,7 +84,6 @@ class MultiRingCoordinator {
   Config config_;
   std::uint64_t seed_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  std::vector<std::vector<NodeId>> memberships_;
   std::vector<NodeId> unserved_;  ///< sorted
   /// node -> index into engines_; maintained on churn via callbacks.
   util::FlatMap<NodeId, std::size_t> ring_index_;

@@ -69,6 +69,16 @@ TEST(Topology, ConnectedDetectsPartitions) {
   EXPECT_FALSE(t.connected());
 }
 
+TEST(Topology, NodeAddedUnderPartitionJoinsUnnamedGroup) {
+  Topology t({{0, 0}, {10, 0}, {20, 0}}, RadioParams{12.0, 0.0});
+  t.set_partition({{0}});
+  const NodeId late = t.add_node({15, 0});
+  EXPECT_TRUE(t.reachable(late, 1));
+  EXPECT_TRUE(t.reachable(late, 2));
+  EXPECT_FALSE(t.reachable(0, 1));
+  EXPECT_EQ(t.neighbors(late), (std::vector<NodeId>{1, 2}));
+}
+
 TEST(Topology, ConnectedIgnoresDeadNodes) {
   Topology t({{0, 0}, {10, 0}, {100, 0}}, RadioParams{12.0, 0.0});
   EXPECT_FALSE(t.connected());

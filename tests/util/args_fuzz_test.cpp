@@ -1,0 +1,116 @@
+// Command-line mutation round-trip: Args has no failure path, so every
+// mutated argv must parse without throwing, answer every query, and print
+// back (as --name=value tokens) into an Args with the same flags and values.
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "util/args.hpp"
+#include "util/rng.hpp"
+
+namespace wrt::util {
+namespace {
+
+Args parse(const std::vector<std::string>& tokens) {
+  std::vector<char*> argv{const_cast<char*>("prog")};
+  for (const std::string& token : tokens) {
+    argv.push_back(const_cast<char*>(token.c_str()));
+  }
+  return Args(static_cast<int>(argv.size()), argv.data());
+}
+
+/// Characters that keep mutants close to real command lines.
+constexpr char kAlphabet[] = "-=,.+e0123456789nxs ";
+
+std::vector<std::vector<std::string>> corpus() {
+  return {{"--n", "16"},
+          {"--rate=0.25", "--csv"},
+          {"--sizes", "4,8,16", "--seed=7"},
+          {"stray", "--x", "--y", "-3", "--z="},
+          {"--json-dir=out", "--smoke", "--seeds", "1,2,,3"}};
+}
+
+std::vector<std::string> mutate(std::vector<std::string> tokens,
+                                RngStream& rng) {
+  const auto edits = rng.uniform_int(1, 4);
+  for (std::int64_t e = 0; e < edits; ++e) {
+    const auto pick = [&] {
+      return static_cast<std::size_t>(rng.uniform_int(tokens.size()));
+    };
+    const char byte = kAlphabet[rng.uniform_int(sizeof(kAlphabet) - 1)];
+    switch (rng.uniform_int(std::uint64_t{5})) {
+      case 0:
+        if (!tokens.empty()) {
+          tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(pick()));
+        }
+        break;
+      case 1:
+        if (!tokens.empty()) tokens.push_back(tokens[pick()]);
+        break;
+      case 2:
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.uniform_int(tokens.size() + 1)),
+                      std::string(1, byte));
+        break;
+      default: {
+        if (tokens.empty()) break;
+        std::string& token = tokens[pick()];
+        const auto at =
+            static_cast<std::size_t>(rng.uniform_int(token.size() + 1));
+        if (rng.bernoulli(0.5) && at < token.size()) {
+          token.erase(at, 1);
+        } else {
+          token.insert(at, 1, byte);
+        }
+        break;
+      }
+    }
+  }
+  return tokens;
+}
+
+TEST(ArgsFuzz, MutatedCommandLinesRoundTrip) {
+  const auto lines = corpus();
+  RngStream rng(20240601, 0xA765);
+  std::size_t failures = 0;
+  std::size_t flags_seen = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const std::vector<std::string> mutant =
+        mutate(lines[rng.uniform_int(lines.size())], rng);
+    try {
+      const Args args = parse(mutant);
+      // Nothing queried yet, so every parsed flag is "unknown".
+      const std::vector<std::string> names = args.unknown_flags();
+      flags_seen += names.size();
+      std::vector<std::string> printed;
+      for (const std::string& name : names) {
+        const std::string value = args.get_string(name, "<unset>");
+        (void)args.has(name);
+        (void)args.get_int(name, 0);
+        (void)args.get_double(name, 0.0);
+        (void)args.get_int_list(name, {});
+        printed.push_back("--" + name + "=" + value);
+      }
+      EXPECT_TRUE(args.unknown_flags().empty());
+      const Args again = parse(printed);
+      bool same = again.unknown_flags() == names;
+      for (const std::string& name : names) {
+        same = same && again.get_string(name, "<unset>") ==
+                           args.get_string(name, "<unset>");
+      }
+      if (!same && ++failures <= 3) {
+        std::string shown;
+        for (const std::string& token : mutant) shown += " [" + token + "]";
+        ADD_FAILURE() << "no round trip for" << shown;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "Args threw " << e.what();
+    }
+  }
+  EXPECT_EQ(failures, 0u);
+  EXPECT_GT(flags_seen, 5000u);
+}
+
+}  // namespace
+}  // namespace wrt::util
