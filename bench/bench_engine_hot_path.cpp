@@ -38,8 +38,8 @@ bool saturate_engine(wrtring::Engine& engine, std::size_t n) {
   return true;
 }
 
-/// Steady state: every station backlogged, no membership changes.  All
-/// station/source lookups hit the epoch-validated position cache.
+/// Steady state: every station backlogged, no membership changes: only
+/// the drained stations' saturated sources are refilled.
 void BM_HotPathSteadyState(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   phy::Topology topology = bench::ring_room(n);
@@ -61,7 +61,7 @@ BENCHMARK(BM_HotPathSteadyState)
     ->Arg(4096);
 
 /// Mixed CBR + Poisson load (the common experiment shape) rather than full
-/// saturation: stresses poll_traffic()'s bound-source cache.
+/// saturation: times the arrival schedule, which polls only due sources.
 void BM_HotPathMixedLoad(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   phy::Topology topology = bench::ring_room(n);

@@ -44,9 +44,8 @@ util::Status AlohaEngine::init() {
 }
 
 void AlohaEngine::add_source(const traffic::FlowSpec& spec) {
-  sources_.push_back(
-      {traffic::TrafficSource(spec, seed_ ^ (0xA10AA10Au + spec.id)),
-       spec.src});
+  arrivals_.add(traffic::TrafficSource(spec, seed_ ^ (0xA10AA10Au + spec.id)),
+                spec.src);
 }
 
 void AlohaEngine::add_saturated_source(const traffic::FlowSpec& spec,
@@ -57,9 +56,9 @@ void AlohaEngine::add_saturated_source(const traffic::FlowSpec& spec,
 void AlohaEngine::add_trace_source(traffic::Trace trace, FlowId flow,
                                    NodeId src, NodeId dst,
                                    std::int64_t deadline_slots) {
-  traces_.push_back(
-      {traffic::TraceSource(std::move(trace), flow, src, dst, deadline_slots),
-       src});
+  arrivals_.add(
+      traffic::TraceSource(std::move(trace), flow, src, dst, deadline_slots),
+      src);
 }
 
 // wrt-lint-allow(by-value-frame-param): deliberate sink, moved into queue
@@ -74,24 +73,14 @@ bool AlohaEngine::inject_packet(traffic::Packet packet) {
 }
 
 void AlohaEngine::poll_traffic() {
-  for (auto& bound : sources_) {
-    scratch_.clear();
-    bound.source.poll(now_, scratch_);
-    for (auto& packet : scratch_) {
-      if (!inject_packet(std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
-  for (auto& bound : traces_) {
-    scratch_.clear();
-    bound.source.poll(now_, scratch_);
-    for (auto& packet : scratch_) {
-      if (!inject_packet(std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
+  arrivals_.poll(now_, scratch_,
+                 [this](NodeId, std::vector<traffic::Packet>& packets) {
+                   for (auto& packet : packets) {
+                     if (!inject_packet(std::move(packet))) {
+                       stats_.sink.record_drop(packet);
+                     }
+                   }
+                 });
   for (auto& bound : saturated_) {
     const auto it = stations_.find(bound.station);
     if (it == stations_.end() || !it->second.alive) continue;

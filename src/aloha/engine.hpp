@@ -40,6 +40,7 @@
 #include "fault/gilbert_elliott.hpp"
 #include "phy/topology.hpp"
 #include "sim/stats.hpp"
+#include "traffic/arrival_schedule.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/traffic.hpp"
 #include "util/result.hpp"
@@ -140,22 +141,13 @@ class AlohaEngine final {
   std::map<NodeId, StationState> stations_;
   fault::LinkLossField loss_field_;
 
-  struct BoundSource {
-    traffic::TrafficSource source;
-    NodeId station;
-  };
   struct BoundSaturated {
     traffic::SaturatedSource source;
     NodeId station;
     std::size_t backlog;
   };
-  struct BoundTrace {
-    traffic::TraceSource source;
-    NodeId station;
-  };
-  std::vector<BoundSource> sources_;
+  traffic::ArrivalSchedule arrivals_;
   std::vector<BoundSaturated> saturated_;
-  std::vector<BoundTrace> traces_;
   std::vector<traffic::Packet> scratch_;
   std::vector<NodeId> transmitters_;  ///< per-slot scratch
 

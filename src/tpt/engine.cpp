@@ -89,9 +89,8 @@ analysis::TptParams TptEngine::params() const {
 // ---------------------------------------------------------------------------
 
 void TptEngine::add_source(const traffic::FlowSpec& spec) {
-  sources_.push_back(
-      {traffic::TrafficSource(spec, seed_ ^ (0x70707070u + spec.id)),
-       spec.src});
+  arrivals_.add(traffic::TrafficSource(spec, seed_ ^ (0x70707070u + spec.id)),
+                spec.src);
 }
 
 void TptEngine::add_saturated_source(const traffic::FlowSpec& spec,
@@ -102,9 +101,9 @@ void TptEngine::add_saturated_source(const traffic::FlowSpec& spec,
 void TptEngine::add_trace_source(traffic::Trace trace, FlowId flow,
                                  NodeId src, NodeId dst,
                                  std::int64_t deadline_slots) {
-  traces_.push_back(
-      {traffic::TraceSource(std::move(trace), flow, src, dst, deadline_slots),
-       src});
+  arrivals_.add(
+      traffic::TraceSource(std::move(trace), flow, src, dst, deadline_slots),
+      src);
 }
 
 // wrt-lint-allow(by-value-frame-param): deliberate sink, moved into queue
@@ -119,24 +118,14 @@ bool TptEngine::inject_packet(traffic::Packet packet) {
 }
 
 void TptEngine::poll_traffic() {
-  for (auto& bound : sources_) {
-    scratch_.clear();
-    bound.source.poll(now_, scratch_);
-    for (auto& packet : scratch_) {
-      if (!inject_packet(std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
-  for (auto& bound : traces_) {
-    scratch_.clear();
-    bound.source.poll(now_, scratch_);
-    for (auto& packet : scratch_) {
-      if (!inject_packet(std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
+  arrivals_.poll(now_, scratch_,
+                 [this](NodeId, std::vector<traffic::Packet>& packets) {
+                   for (auto& packet : packets) {
+                     if (!inject_packet(std::move(packet))) {
+                       stats_.sink.record_drop(packet);
+                     }
+                   }
+                 });
   for (auto& bound : saturated_) {
     const auto it = stations_.find(bound.station);
     if (it == stations_.end()) continue;
@@ -144,10 +133,9 @@ void TptEngine::poll_traffic() {
                       ? it->second.rt_queue
                       : it->second.be_queue;
     if (queue.size() < bound.backlog) {
-      for (auto& packet :
-           bound.source.take(now_, bound.backlog - queue.size())) {
-        queue.push_back(std::move(packet));
-      }
+      scratch_.clear();
+      bound.source.take_into(now_, bound.backlog - queue.size(), scratch_);
+      for (auto& packet : scratch_) queue.push_back(std::move(packet));
     }
   }
 }

@@ -38,6 +38,7 @@
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
 #include "tpt/tree.hpp"
+#include "traffic/arrival_schedule.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/traffic.hpp"
 #include "util/result.hpp"
@@ -211,22 +212,13 @@ class TptEngine final {
   std::map<NodeId, StationState> stations_;
   std::map<NodeId, Tick> pending_joins_;  ///< joiner -> request time
 
-  struct BoundSource {
-    traffic::TrafficSource source;
-    NodeId station;
-  };
   struct BoundSaturated {
     traffic::SaturatedSource source;
     NodeId station;
     std::size_t backlog;
   };
-  struct BoundTrace {
-    traffic::TraceSource source;
-    NodeId station;
-  };
-  std::vector<BoundSource> sources_;
+  traffic::ArrivalSchedule arrivals_;
   std::vector<BoundSaturated> saturated_;
-  std::vector<BoundTrace> traces_;
   std::vector<traffic::Packet> scratch_;
 
   bool drop_token_pending_ = false;

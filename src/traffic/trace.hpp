@@ -64,8 +64,14 @@ class TraceSource {
   TraceSource(Trace trace, FlowId flow, NodeId src, NodeId dst,
               std::int64_t deadline_slots = 0);
 
-  /// Appends packets arriving in (last poll, now].
+  /// Appends packets arriving in (last poll, now].  Does nothing while
+  /// `now < next_arrival()`.
   void poll(Tick now, std::vector<Packet>& out);
+
+  /// Tick of the next trace entry, or kNeverTick once the trace is spent.
+  [[nodiscard]] Tick next_arrival() const noexcept {
+    return exhausted() ? kNeverTick : trace_.entries()[cursor_].at;
+  }
 
   [[nodiscard]] bool exhausted() const noexcept {
     return cursor_ >= trace_.size();

@@ -7,10 +7,19 @@
 
 namespace wrt::traffic {
 
+namespace {
+
+bool finite_positive(double value) noexcept {
+  return std::isfinite(value) && value > 0.0;
+}
+
+}  // namespace
+
 double FlowSpec::offered_load() const noexcept {
+  if (!emits()) return 0.0;
   switch (kind) {
     case ArrivalKind::kCbr:
-      return period_slots > 0.0 ? 1.0 / period_slots : 0.0;
+      return 1.0 / period_slots;
     case ArrivalKind::kPoisson:
       return rate_per_slot;
     case ArrivalKind::kOnOff: {
@@ -22,11 +31,26 @@ double FlowSpec::offered_load() const noexcept {
   return 0.0;
 }
 
+bool FlowSpec::emits() const noexcept {
+  switch (kind) {
+    case ArrivalKind::kCbr:
+      return finite_positive(period_slots);
+    case ArrivalKind::kPoisson:
+      return finite_positive(rate_per_slot);
+    case ArrivalKind::kOnOff:
+      return finite_positive(rate_per_slot) &&
+             finite_positive(on_mean_slots) &&
+             std::isfinite(off_mean_slots) && off_mean_slots >= 0.0;
+  }
+  return false;
+}
+
 TrafficSource::TrafficSource(FlowSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)),
       rng_(seed, 0xF10B + spec_.id),
-      next_arrival_(slots_to_ticks(spec_.start_slot)) {
-  if (spec_.kind == ArrivalKind::kOnOff) {
+      next_arrival_(spec_.emits() ? slots_to_ticks(spec_.start_slot)
+                                  : kNeverTick) {
+  if (spec_.kind == ArrivalKind::kOnOff && next_arrival_ != kNeverTick) {
     phase_end_ = next_arrival_ +
                  static_cast<Tick>(rng_.exponential(
                      static_cast<double>(slots_to_ticks(1)) * spec_.on_mean_slots));
@@ -41,7 +65,6 @@ Tick TrafficSource::draw_gap() {
           1, static_cast<Tick>(std::llround(spec_.period_slots * ticks_per_slot)));
     case ArrivalKind::kPoisson:
     case ArrivalKind::kOnOff: {
-      if (spec_.rate_per_slot <= 0.0) return kNeverTick;
       const double mean_ticks = ticks_per_slot / spec_.rate_per_slot;
       return std::max<Tick>(1, static_cast<Tick>(rng_.exponential(mean_ticks)));
     }
@@ -85,13 +108,6 @@ void TrafficSource::poll(Tick now, std::vector<Packet>& out) {
     }
     next_arrival_ += gap;
   }
-}
-
-std::vector<Packet> SaturatedSource::take(Tick now, std::size_t count) {
-  std::vector<Packet> packets;
-  packets.reserve(count);
-  take_into(now, count, packets);
-  return packets;
 }
 
 void SaturatedSource::take_into(Tick now, std::size_t count,

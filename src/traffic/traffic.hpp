@@ -102,8 +102,14 @@ struct FlowSpec {
   /// Slot offset of the first arrival.
   std::int64_t start_slot = 0;
 
-  /// Mean offered load of this flow in packets/slot.
+  /// Mean offered load of this flow in packets/slot; 0 for a spec that
+  /// never emits (see emits()).
   [[nodiscard]] double offered_load() const noexcept;
+
+  /// False when the spec can never produce a packet: a CBR period, a rate
+  /// or an on/off ON mean that is not a finite positive number, or an OFF
+  /// mean that is negative or not finite.
+  [[nodiscard]] bool emits() const noexcept;
 };
 
 /// Seeded arrival process for one flow.
@@ -112,8 +118,15 @@ class TrafficSource {
   TrafficSource(FlowSpec spec, std::uint64_t seed);
 
   /// Appends to `out` every packet arriving in (last_poll, now]; sets
-  /// created/deadline from arrival time.
+  /// created/deadline from arrival time.  Does nothing while
+  /// `now < next_arrival()`.
   void poll(Tick now, std::vector<Packet>& out);
+
+  /// Tick of the next packet, or kNeverTick when there is none (from
+  /// construction when !spec.emits()).  An on/off source may cross an OFF
+  /// phase on the way and emit nothing at this tick; poll() then leaves the
+  /// value past `now` again.
+  [[nodiscard]] Tick next_arrival() const noexcept { return next_arrival_; }
 
   [[nodiscard]] const FlowSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] std::uint64_t generated() const noexcept { return sequence_; }
@@ -136,12 +149,9 @@ class SaturatedSource {
  public:
   SaturatedSource(FlowSpec spec) : spec_(std::move(spec)) {}
 
-  /// Produces up to `count` packets stamped at `now`.
-  [[nodiscard]] std::vector<Packet> take(Tick now, std::size_t count);
-
-  /// Allocation-free variant: appends the packets to `out` instead of
-  /// returning a fresh vector.  The engine polls saturated sources every
-  /// slot, so topping up a queue must not cost a heap allocation per slot.
+  /// Appends `count` packets stamped at `now` to `out`.  The engines top
+  /// up saturated queues every slot, so a refill reuses their scratch
+  /// vector instead of allocating.
   void take_into(Tick now, std::size_t count, std::vector<Packet>& out);
 
   [[nodiscard]] const FlowSpec& spec() const noexcept { return spec_; }

@@ -1,8 +1,24 @@
 #include "util/args.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <optional>
+#include <string_view>
 
 namespace wrt::util {
+namespace {
+
+/// Parses all of `text` as a T; nullopt on junk, overflow or emptiness.
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
 
 Args::Args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -29,19 +45,34 @@ bool Args::has(const std::string& name) const {
   return values_.contains(name);
 }
 
-std::int64_t Args::get_int(const std::string& name,
-                           std::int64_t fallback) const {
+const std::string* Args::numeric_value(const std::string& name) const {
   queried_[name] = true;
   const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end() || it->second.empty()) return nullptr;
+  return &it->second;
+}
+
+std::int64_t Args::get_int(const std::string& name,
+                           std::int64_t fallback) const {
+  const std::string* text = numeric_value(name);
+  if (text == nullptr) return fallback;
+  const auto value = parse_whole<std::int64_t>(*text);
+  if (!value) {
+    malformed_.insert(name);
+    return fallback;
+  }
+  return *value;
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
-  queried_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* text = numeric_value(name);
+  if (text == nullptr) return fallback;
+  const auto value = parse_whole<double>(*text);
+  if (!value || !std::isfinite(*value)) {
+    malformed_.insert(name);
+    return fallback;
+  }
+  return *value;
 }
 
 std::string Args::get_string(const std::string& name,
@@ -54,22 +85,23 @@ std::string Args::get_string(const std::string& name,
 
 std::vector<std::int64_t> Args::get_int_list(
     const std::string& name, std::vector<std::int64_t> fallback) const {
-  queried_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
+  const std::string* text = numeric_value(name);
+  if (text == nullptr) return fallback;
   std::vector<std::int64_t> result;
-  std::size_t start = 0;
-  const std::string& text = it->second;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string piece =
-        text.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
+  std::string_view rest = *text;
+  while (true) {
+    const std::size_t comma = rest.find(',');
+    const std::string_view piece = rest.substr(0, comma);
     if (!piece.empty()) {
-      result.push_back(std::strtoll(piece.c_str(), nullptr, 10));
+      const auto value = parse_whole<std::int64_t>(piece);
+      if (!value) {
+        malformed_.insert(name);
+        return fallback;
+      }
+      result.push_back(*value);
     }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
   }
   return result.empty() ? fallback : result;
 }
@@ -80,6 +112,10 @@ std::vector<std::string> Args::unknown_flags() const {
     if (!queried_.contains(name)) unknown.push_back(name);
   }
   return unknown;
+}
+
+std::vector<std::string> Args::malformed_flags() const {
+  return {malformed_.begin(), malformed_.end()};
 }
 
 }  // namespace wrt::util

@@ -161,15 +161,6 @@ void Engine::erase_member(std::size_t position) {
   rebuild_position_index();
 }
 
-template <typename Bound>
-std::int32_t Engine::bound_position(Bound& bound) {
-  if (bound.epoch != membership_epoch_) {
-    bound.position = station_position(bound.station);
-    bound.epoch = membership_epoch_;
-  }
-  return bound.position;
-}
-
 Station Engine::station(NodeId node) const {
   const std::int32_t position = station_position(node);
   if (position < 0) {
@@ -246,9 +237,8 @@ bool Engine::admission_allows(Quota extra) const {
 // ---------------------------------------------------------------------------
 
 void Engine::add_source(const traffic::FlowSpec& spec) {
-  sources_.push_back(
-      {traffic::TrafficSource(spec, seed_ ^ (0xABCD1234u + spec.id)),
-       spec.src});
+  arrivals_.add(traffic::TrafficSource(spec, seed_ ^ (0xABCD1234u + spec.id)),
+                spec.src);
 }
 
 void Engine::add_saturated_source(const traffic::FlowSpec& spec,
@@ -264,9 +254,9 @@ void Engine::add_saturated_source(const traffic::FlowSpec& spec,
 
 void Engine::add_trace_source(traffic::Trace trace, FlowId flow, NodeId src,
                               NodeId dst, std::int64_t deadline_slots) {
-  traces_.push_back(
-      {traffic::TraceSource(std::move(trace), flow, src, dst, deadline_slots),
-       src});
+  arrivals_.add(
+      traffic::TraceSource(std::move(trace), flow, src, dst, deadline_slots),
+      src);
 }
 
 // wrt-lint-allow(by-value-frame-param): deliberate sink, moved into queue
@@ -278,34 +268,20 @@ bool Engine::inject_packet(traffic::Packet packet) {
 }
 
 void Engine::poll_traffic() {
-  for (auto& bound : sources_) {
-    arrival_scratch_.clear();
-    bound.source.poll(now_, arrival_scratch_);
-    if (arrival_scratch_.empty()) continue;
-    const std::int32_t position = bound_position(bound);
-    for (auto& packet : arrival_scratch_) {
-      // enqueue() moves only on acceptance, so a rejected (queue-full)
-      // packet is still intact for drop attribution.
-      if (position < 0 ||
-          !kernel_.enqueue(static_cast<std::size_t>(position),
-                           std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
-  for (auto& bound : traces_) {
-    arrival_scratch_.clear();
-    bound.source.poll(now_, arrival_scratch_);
-    if (arrival_scratch_.empty()) continue;
-    const std::int32_t position = bound_position(bound);
-    for (auto& packet : arrival_scratch_) {
-      if (position < 0 ||
-          !kernel_.enqueue(static_cast<std::size_t>(position),
-                           std::move(packet))) {
-        stats_.sink.record_drop(packet);
-      }
-    }
-  }
+  arrivals_.poll(
+      now_, arrival_scratch_,
+      [this](NodeId station, std::vector<traffic::Packet>& packets) {
+        const std::int32_t position = station_position(station);
+        for (auto& packet : packets) {
+          // enqueue() moves only on acceptance, so a rejected (queue-full)
+          // packet is still intact for drop attribution.
+          if (position < 0 ||
+              !kernel_.enqueue(static_cast<std::size_t>(position),
+                               std::move(packet))) {
+            stats_.sink.record_drop(packet);
+          }
+        }
+      });
   if (saturated_.empty()) return;
   // A saturated bound needs a refill exactly when its queue depth dropped
   // below the backlog, and the only depth-reducing operation on the data
@@ -321,7 +297,7 @@ void Engine::poll_traffic() {
     bool all_full = true;
     for (std::size_t i = 0; i < saturated_.size(); ++i) {
       auto& bound = saturated_[i];
-      const std::int32_t position32 = bound_position(bound);
+      const std::int32_t position32 = station_position(bound.station);
       if (position32 < 0) continue;
       const auto position = static_cast<std::size_t>(position32);
       position_to_saturated_[position] = static_cast<std::int32_t>(i);
@@ -937,7 +913,9 @@ void Engine::sat_release(NodeId from) {
     stats_.sat_hold_slots.add(ticks_to_slots_real(now_ - sat_hold_started_));
     sat_hold_started_ = kNeverTick;
   }
-  const auto from_position = static_cast<std::size_t>(ring_.position_of(from));
+  const std::int32_t from_position32 = station_position(from);
+  assert(from_position32 >= 0);
+  const auto from_position = static_cast<std::size_t>(from_position32);
   kernel_.on_sat_release(from_position);
   kernel_.last_sat_departure_[from_position] = now_;
   ++kernel_.rounds_since_rap_[from_position];
@@ -1141,7 +1119,7 @@ void Engine::check_sat_timers() {
       // detector's timer so the sweep does not re-accuse every slot for
       // the remainder of the guard window.
       kernel_.last_sat_arrival_[static_cast<std::size_t>(
-          ring_.position_of(detector))] = now_;
+          station_position(detector))] = now_;
     }
     return;
   }
@@ -1167,7 +1145,7 @@ void Engine::start_recovery(NodeId detector) {
   sat_.rap_owner = kInvalidNode;
   rec_deadline_ = now_ + slots_to_ticks(effective_sat_timeout(detector));
   kernel_.last_sat_arrival_[static_cast<std::size_t>(
-      ring_.position_of(detector))] = now_;
+      station_position(detector))] = now_;
   sat_state_ = SatState::kHeld;
   sat_location_ = detector;
   // The detector itself gets a fresh round and forwards the SAT_REC.

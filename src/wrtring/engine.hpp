@@ -33,10 +33,11 @@
 // and the ring order together and then refreshes `position_index_`
 // (NodeId -> position, -1 when not a member), which serves the by-NodeId
 // control-plane accessors.  `membership_epoch_` increments on each such
-// change; traffic sources cache their station's position keyed by the
-// epoch, and the per-position liveness/reachability caches are keyed by
+// change, and the per-position liveness/reachability caches are keyed by
 // (topology version, membership epoch, stall epoch), so steady-state
-// stepping is lookup-free.
+// stepping is lookup-free.  Traffic arrivals are event-driven: the
+// traffic::ArrivalSchedule polls only the sources that are due, and the
+// O(1) position lookup runs only for a source that produced packets.
 #pragma once
 
 #include <array>
@@ -53,6 +54,7 @@
 #include "sim/stats.hpp"
 #include "telemetry/journal.hpp"
 #include "telemetry/metrics.hpp"
+#include "traffic/arrival_schedule.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/traffic.hpp"
 #include "util/flat_map.hpp"
@@ -505,10 +507,6 @@ class WRT_SHARD_CONFINED Engine final {
   void insert_member(NodeId ingress, NodeId joiner, Quota quota);
   /// Removes the member at `position` from the ring and all kernel columns.
   void erase_member(std::size_t position);
-  /// Cached ring position for a bound traffic source (epoch-validated);
-  /// -1 when the source's station is not a member.
-  template <typename Bound>
-  [[nodiscard]] std::int32_t bound_position(Bound& bound);
 
   phy::Topology* topology_;
   Config config_;
@@ -592,33 +590,18 @@ class WRT_SHARD_CONFINED Engine final {
   // Joins.  Sorted by NodeId (deterministic NEXT_FREE scan order).
   util::FlatMap<NodeId, PendingJoin> pending_joins_;
 
-  // Traffic.  Each bound source caches its station's ring position keyed by
-  // membership_epoch_, so steady-state polling performs no lookups.
-  struct BoundSource {
-    traffic::TrafficSource source;
-    NodeId station;
-    std::int32_t position = -1;
-    std::uint64_t epoch = 0;
-  };
+  // Traffic.  Rate-limited and trace sources live in the arrival schedule,
+  // which polls only the due ones; saturated sources refill on queue depth.
   struct BoundSaturated {
     traffic::SaturatedSource source;
     NodeId station;
     std::size_t backlog;
-    std::int32_t position = -1;
-    std::uint64_t epoch = 0;
-  };
-  struct BoundTrace {
-    traffic::TraceSource source;
-    NodeId station;
-    std::int32_t position = -1;
-    std::uint64_t epoch = 0;
   };
   /// Tops the bound's class queue back up to its backlog.
   void refill_saturated(BoundSaturated& bound, std::size_t position);
 
-  std::vector<BoundSource> sources_;
+  traffic::ArrivalSchedule arrivals_;
   std::vector<BoundSaturated> saturated_;
-  std::vector<BoundTrace> traces_;
   std::vector<traffic::Packet> arrival_scratch_;
 
   // Fault plane.  link_loss_ owns every loss draw (per purpose, per

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace wrt::traffic {
 namespace {
 
@@ -14,6 +16,43 @@ TEST(Trace, RecordFromCbrSource) {
   const Trace trace = Trace::record(source, slots_to_ticks(100));
   EXPECT_EQ(trace.total_packets(), 11u);
   EXPECT_NEAR(trace.offered_load(), 0.11, 0.02);
+}
+
+TEST(TraceSource, NextArrivalFollowsTheCursor) {
+  TraceSource source(Trace({{slots_to_ticks(2), TrafficClass::kRealTime, 2},
+                            {slots_to_ticks(9), TrafficClass::kBestEffort, 1}}),
+                     4, 0, 1);
+  EXPECT_EQ(source.next_arrival(), slots_to_ticks(2));
+  std::vector<Packet> packets;
+  source.poll(slots_to_ticks(2) - 1, packets);
+  EXPECT_TRUE(packets.empty());
+  source.poll(slots_to_ticks(5), packets);
+  EXPECT_EQ(packets.size(), 2u);
+  EXPECT_EQ(source.next_arrival(), slots_to_ticks(9));
+  source.poll(slots_to_ticks(9), packets);
+  EXPECT_EQ(packets.size(), 3u);
+  EXPECT_EQ(source.next_arrival(), kNeverTick);
+  EXPECT_EQ(TraceSource(Trace(), 1, 0, 1).next_arrival(), kNeverTick);
+}
+
+TEST(TraceSource, DuePollingMatchesEveryTickPolling) {
+  const Trace trace = make_voice_trace(VoiceParams{}, slots_to_ticks(5000), 9);
+  TraceSource every(trace, 1, 0, 1, 40);
+  TraceSource due_only(trace, 1, 0, 1, 40);
+  std::vector<Packet> expected;
+  std::vector<Packet> got;
+  for (Tick now = 0; now <= slots_to_ticks(5000); ++now) {
+    every.poll(now, expected);
+    if (now >= due_only.next_arrival()) due_only.poll(now, got);
+    EXPECT_GT(due_only.next_arrival(), now);
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].created, expected[i].created) << i;
+    EXPECT_EQ(got[i].sequence, expected[i].sequence) << i;
+    EXPECT_EQ(got[i].deadline, expected[i].deadline) << i;
+  }
 }
 
 TEST(Trace, MergeKeepsTimeOrder) {

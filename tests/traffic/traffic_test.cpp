@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace wrt::traffic {
@@ -131,13 +133,136 @@ TEST(FlowSpec, OfferedLoadFormulas) {
 
 TEST(SaturatedSource, ProducesRequestedCount) {
   SaturatedSource source(cbr_spec());
-  const auto packets = source.take(slots_to_ticks(7), 5);
+  std::vector<Packet> packets;
+  source.take_into(slots_to_ticks(7), 5, packets);
   ASSERT_EQ(packets.size(), 5u);
   for (const auto& p : packets) {
     EXPECT_EQ(p.created, slots_to_ticks(7));
     EXPECT_EQ(p.cls, TrafficClass::kRealTime);
   }
   EXPECT_EQ(packets[4].sequence, 4u);
+}
+
+TEST(SaturatedSource, TakeIntoAppends) {
+  SaturatedSource source(cbr_spec());
+  std::vector<Packet> packets(2);
+  source.take_into(slots_to_ticks(3), 3, packets);
+  ASSERT_EQ(packets.size(), 5u);
+  EXPECT_EQ(packets[2].sequence, 0u);
+  EXPECT_EQ(packets[4].sequence, 2u);
+  EXPECT_EQ(packets[4].created, slots_to_ticks(3));
+}
+
+/// Polls `source` at every tick of the first `slots` slots.
+template <typename Source>
+std::vector<Packet> poll_each_tick(Source& source, std::int64_t slots) {
+  std::vector<Packet> out;
+  for (Tick now = 0; now <= slots_to_ticks(slots); ++now) {
+    source.poll(now, out);
+  }
+  return out;
+}
+
+void expect_never_due(const FlowSpec& spec) {
+  TrafficSource source(spec, 3);
+  EXPECT_EQ(source.next_arrival(), kNeverTick);
+  EXPECT_FALSE(spec.emits());
+  EXPECT_EQ(spec.offered_load(), 0.0);
+  EXPECT_TRUE(poll_each_tick(source, 10).empty());
+  EXPECT_EQ(source.next_arrival(), kNeverTick);
+}
+
+TEST(TrafficSource, NonPositiveCbrPeriodNeverArrives) {
+  for (const double period :
+       {0.0, -4.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(period);
+    expect_never_due(cbr_spec(period));
+  }
+}
+
+TEST(TrafficSource, NonPositivePoissonRateNeverArrives) {
+  for (const double rate :
+       {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(rate);
+    FlowSpec spec = cbr_spec();
+    spec.kind = ArrivalKind::kPoisson;
+    spec.rate_per_slot = rate;
+    expect_never_due(spec);
+  }
+}
+
+TEST(TrafficSource, DegenerateOnOffNeverArrives) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double rate, on_mean, off_mean;
+  };
+  for (const Case c : {Case{0.0, 100.0, 100.0}, Case{-1.0, 100.0, 100.0},
+                       Case{nan, 100.0, 100.0}, Case{0.5, 0.0, 100.0},
+                       Case{0.5, inf, 100.0}, Case{0.5, 100.0, nan},
+                       Case{0.5, 100.0, -1.0}}) {
+    SCOPED_TRACE(testing::Message() << c.rate << " " << c.on_mean << " "
+                                    << c.off_mean);
+    FlowSpec spec = cbr_spec();
+    spec.kind = ArrivalKind::kOnOff;
+    spec.rate_per_slot = c.rate;
+    spec.on_mean_slots = c.on_mean;
+    spec.off_mean_slots = c.off_mean;
+    expect_never_due(spec);
+  }
+}
+
+TEST(TrafficSource, NextArrivalIsTheNextPacketsCreationTick) {
+  FlowSpec spec = cbr_spec(10.0);
+  spec.start_slot = 4;
+  TrafficSource source(spec, 1);
+  EXPECT_EQ(source.next_arrival(), slots_to_ticks(4));
+  std::vector<Packet> packets;
+  source.poll(slots_to_ticks(4) - 1, packets);
+  EXPECT_TRUE(packets.empty());
+  source.poll(slots_to_ticks(4), packets);
+  ASSERT_EQ(packets.size(), 1u);
+  EXPECT_EQ(source.next_arrival(), slots_to_ticks(14));
+}
+
+/// Polling every tick and polling only when `now >= next_arrival()` must
+/// produce the same packet sequence: the no-op contract the arrival
+/// schedule relies on.
+void expect_due_polling_matches(const FlowSpec& spec) {
+  TrafficSource every(spec, 11);
+  TrafficSource due_only(spec, 11);
+  const std::vector<Packet> expected = poll_each_tick(every, 400);
+  std::vector<Packet> got;
+  for (Tick now = 0; now <= slots_to_ticks(400); ++now) {
+    if (now >= due_only.next_arrival()) due_only.poll(now, got);
+    EXPECT_GT(due_only.next_arrival(), now);
+  }
+  ASSERT_EQ(got.size(), expected.size());
+  ASSERT_FALSE(expected.empty());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].created, expected[i].created) << i;
+    EXPECT_EQ(got[i].sequence, expected[i].sequence) << i;
+    EXPECT_EQ(got[i].deadline, expected[i].deadline) << i;
+  }
+  EXPECT_EQ(due_only.next_arrival(), every.next_arrival());
+}
+
+TEST(TrafficSource, DuePollingMatchesEveryTickPolling) {
+  FlowSpec cbr = cbr_spec(7.3);
+  cbr.start_slot = 3;
+  expect_due_polling_matches(cbr);
+  FlowSpec poisson = cbr_spec();
+  poisson.kind = ArrivalKind::kPoisson;
+  poisson.rate_per_slot = 0.2;
+  expect_due_polling_matches(poisson);
+  FlowSpec onoff = cbr_spec();
+  onoff.kind = ArrivalKind::kOnOff;
+  onoff.rate_per_slot = 0.5;
+  onoff.on_mean_slots = 20.0;
+  onoff.off_mean_slots = 30.0;
+  expect_due_polling_matches(onoff);
 }
 
 TEST(Sink, RecordsDelayAndClass) {

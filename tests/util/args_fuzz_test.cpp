@@ -1,8 +1,11 @@
-// Command-line mutation round-trip: Args has no failure path, so every
-// mutated argv must parse without throwing, answer every query, and print
-// back (as --name=value tokens) into an Args with the same flags and values.
+// Command-line mutation round-trip: every mutated argv must parse without
+// throwing, answer every query, and print back (as --name=value tokens) into
+// an Args with the same flags, values and malformed numeric flags.  A
+// numeric getter on a malformed flag must return its fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -84,21 +87,34 @@ TEST(ArgsFuzz, MutatedCommandLinesRoundTrip) {
       const std::vector<std::string> names = args.unknown_flags();
       flags_seen += names.size();
       std::vector<std::string> printed;
+      bool fallbacks_ok = true;
       for (const std::string& name : names) {
         const std::string value = args.get_string(name, "<unset>");
         (void)args.has(name);
-        (void)args.get_int(name, 0);
         (void)args.get_double(name, 0.0);
         (void)args.get_int_list(name, {});
+        // get_int fell back on a non-empty value: the flag is reported.
+        if (!value.empty() && value != "-77" &&
+            args.get_int(name, -77) == -77) {
+          const auto malformed = args.malformed_flags();
+          fallbacks_ok = fallbacks_ok &&
+                         std::find(malformed.begin(), malformed.end(),
+                                   name) != malformed.end();
+        }
         printed.push_back("--" + name + "=" + value);
       }
       EXPECT_TRUE(args.unknown_flags().empty());
+      EXPECT_TRUE(fallbacks_ok);
       const Args again = parse(printed);
       bool same = again.unknown_flags() == names;
       for (const std::string& name : names) {
         same = same && again.get_string(name, "<unset>") ==
                            args.get_string(name, "<unset>");
+        (void)again.get_int(name, 0);
+        (void)again.get_double(name, 0.0);
+        (void)again.get_int_list(name, {});
       }
+      same = same && again.malformed_flags() == args.malformed_flags();
       if (!same && ++failures <= 3) {
         std::string shown;
         for (const std::string& token : mutant) shown += " [" + token + "]";

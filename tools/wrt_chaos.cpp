@@ -587,6 +587,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrt_chaos: unknown flag --%s\n", flag.c_str());
     return 2;
   }
+  for (const std::string& flag : args.malformed_flags()) {
+    std::fprintf(stderr, "wrt_chaos: malformed value for --%s: '%s'\n",
+                 flag.c_str(), args.get_string(flag, "").c_str());
+    return 2;
+  }
   if (options.n < 5) {
     std::fprintf(stderr, "wrt_chaos: --n must be >= 5\n");
     return 2;

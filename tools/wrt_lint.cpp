@@ -131,7 +131,7 @@ struct LintContext {
 const std::vector<std::string> kHotPathFiles = {
     "wrtring/engine.hpp", "wrtring/engine.cpp", "wrtring/station.hpp",
     "wrtring/station.cpp", "traffic/traffic.hpp", "traffic/traffic.cpp",
-    "ring/frame.hpp",      "ring/frame.cpp"};
+    "traffic/arrival_schedule.hpp", "ring/frame.hpp", "ring/frame.cpp"};
 
 // Files implementing the slot-kernel passes: all per-station state must be
 // reached through the SlotKernel arrays, never a station-object vector.
